@@ -6,7 +6,7 @@
 //! cargo bench --bench explore
 //! ```
 //!
-//! Four series families are measured:
+//! The series families measured:
 //!
 //! - **cold `explore_all`** — a fresh storeless session runs the full
 //!   Figure-1 pipeline over the whole Table-1 registry (compile,
@@ -28,12 +28,8 @@
 //!   the pre-decoded engine on the largest Table-1 benchmark (largest
 //!   by profiled dynamic op count, resolved at run time from the warm
 //!   session), decode amortized out by reusing one [`sim::Engine`];
-//! - **batched execution** — `Engine::run_batch` throughput over
-//!   seed-varied datasets on the same benchmark
-//!   (`sim_batch_ops_per_sec`), its cost relative to sequential
-//!   single runs (`batch_over_single_ratio`, lower is better), and
-//!   the alloc-free sweep path — profile-only pooled runs over
-//!   pre-bound inputs (`ablation_alloc_free_ms`);
+//! - **alloc-free sweep** — profile-only pooled runs over pre-bound
+//!   inputs on the same benchmark (`ablation_alloc_free_ms`);
 //! - **decode cost** — the one-time `Program` → `DecodedProgram`
 //!   lowering for the same benchmark, so the amortization story stays
 //!   measured;
@@ -45,9 +41,8 @@
 //!
 //! The summary is written to `ASIP_BENCH_JSON` (default
 //! `target/asip-bench-explore.json`, workspace-relative) as a flat JSON
-//! object; the values are milliseconds and ops/second. The JSON is
-//! hand-rendered because the workspace's serde is the offline no-op
-//! shim. Series names are *stable* (no benchmark name embedded) so the
+//! object; the values are milliseconds and ops/second. Series names
+//! are *stable* (no benchmark name embedded) so the
 //! perf gate can diff run against baseline; when
 //! `benches/baseline.json` exists the comparison table is printed at
 //! the end of the run (the CI gate is the `asip-bench` `perf` binary —
@@ -58,7 +53,6 @@
 use asip_explorer::perf;
 use asip_explorer::sim;
 use asip_explorer::Explorer;
-use criterion::Criterion;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -206,19 +200,7 @@ fn main() {
     let decode_ms = decode_total_ms / DECODE_REPS as f64;
 
     let engine = sim::Engine::new(Arc::clone(&program));
-    let mut c = Criterion::default();
-    c.bench_function(&format!("simulator/run/{}", largest.name), |b| {
-        b.iter(|| {
-            engine
-                .run(std::hint::black_box(&data))
-                .expect("runs")
-                .profile
-                .total_ops()
-        });
-    });
-    // an independent timed pass for the JSON summary (the criterion
-    // shim prints but does not expose its measurement): best of a few
-    // runs, so one scheduler hiccup cannot fail the gate
+    // best of a few runs, so one scheduler hiccup cannot fail the gate
     let sim_ms = (0..5)
         .map(|_| time_ms(|| engine.run(&data).expect("runs")).1)
         .fold(f64::INFINITY, f64::min);
@@ -232,44 +214,10 @@ fn main() {
     rows.push(("sim_decode_ms".into(), decode_ms));
     rows.push(("sim_ops_per_sec".into(), ops_per_sec));
 
-    // -- batched execution over pooled run states ----------------------
+    // -- alloc-free sweep over pre-bound inputs ------------------------
+    // the sweep shape design loops sit on: profile-only pooled runs, no
+    // banks allocated, no outputs materialized
     {
-        const BATCH: usize = 16;
-        let datasets: Vec<_> = (1..=BATCH as u64)
-            .map(|s| largest.dataset_with_seed(s))
-            .collect();
-        let refs: Vec<&_> = datasets.iter().collect();
-        // sequential single runs: one pool checkout and one input
-        // binding per dataset
-        let single_ms = (0..5)
-            .map(|_| {
-                time_ms(|| {
-                    for data in &refs {
-                        engine.run(data).expect("runs");
-                    }
-                })
-                .1
-            })
-            .fold(f64::INFINITY, f64::min);
-        // the batch API: one run state across the whole sweep
-        let (batch, first_ms) = time_ms(|| engine.run_batch(&refs).expect("batch runs"));
-        let batch_ops: u64 = batch.iter().map(|e| e.profile.total_ops()).sum();
-        let batch_ms = (0..4)
-            .map(|_| time_ms(|| engine.run_batch(&refs).expect("batch runs")).1)
-            .fold(first_ms, f64::min);
-        let batch_ops_per_sec = batch_ops as f64 / (batch_ms / 1e3);
-        println!(
-            "bench simulator/batch-{BATCH}/{}: {:.2} Mops/s ({:.3}x sequential cost)",
-            largest.name,
-            batch_ops_per_sec / 1e6,
-            batch_ms / single_ms
-        );
-        rows.push(("sim_batch_ops_per_sec".into(), batch_ops_per_sec));
-        rows.push(("batch_over_single_ratio".into(), batch_ms / single_ms));
-
-        // the sweep shape design loops sit on: profile-only pooled runs
-        // over inputs bound once — no banks allocated, no outputs
-        // materialized
         const SWEEP: usize = 64;
         let inputs = engine.bind(&data).expect("binds");
         let alloc_free_ms = (0..5)

@@ -192,11 +192,12 @@ fn main() {
         .benchmark("sewha")
         .expect("registered")
         .dataset_with_seed(1995);
-    engine.run_profile(&data).expect("warms the pool");
+    let inputs = engine.bind(&data).expect("binds");
+    engine.run_pooled(&inputs).expect("warms the pool");
     let warm = session.cache_stats().run_state;
     const SWEEP: u64 = 256;
     for _ in 0..SWEEP {
-        engine.run_profile(&data).expect("pooled profile run");
+        engine.run_pooled(&inputs).expect("pooled profile run");
     }
     let swept = session.cache_stats().run_state;
     println!(

@@ -1,8 +1,7 @@
 //! # asip-bench
 //!
 //! The experiment harness: shared driver code used by the binaries that
-//! regenerate every table and figure of the paper, and by the Criterion
-//! benches.
+//! regenerate every table and figure of the paper.
 //!
 //! All drivers run on one [`asip_explorer::Explorer`] session, so a
 //! sweep that revisits a benchmark under many detector or optimizer

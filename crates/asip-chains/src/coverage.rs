@@ -9,11 +9,10 @@
 use crate::detect::{DetectorConfig, Occurrence, OpRef, SequenceDetector};
 use crate::signature::Signature;
 use asip_opt::ScheduleGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// One selected sequence in a coverage study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageEntry {
     /// The selected signature.
     pub signature: Signature,
@@ -27,7 +26,7 @@ pub struct CoverageEntry {
 
 /// Result of a coverage study: the chosen sequences and the total
 /// coverage (the paper reports both per benchmark).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageReport {
     /// Benchmark name.
     pub name: String,

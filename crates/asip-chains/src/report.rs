@@ -3,11 +3,10 @@
 use crate::detect::{DetectorConfig, Occurrence};
 use crate::signature::Signature;
 use asip_opt::ScheduleGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated statistics for one signature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeqStats {
     /// Total dynamic frequency in percent (sum over occurrences).
     pub frequency: f64,
@@ -17,7 +16,7 @@ pub struct SeqStats {
 
 /// A per-graph sequence report: signatures with aggregated frequencies,
 /// sorted by decreasing frequency (the order of the paper's figures).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceReport {
     /// Benchmark / graph name.
     pub name: String,
@@ -234,19 +233,6 @@ mod tests {
             .map(|o| o.frequency(graph.total_profile_ops))
             .sum();
         assert!((stats.frequency - expected).abs() < 1e-12);
-    }
-
-    // The JSON round-trip needs the real `serde`/`serde_json` crates; the
-    // offline build links no-op serde shims (see shims/serde), so this
-    // test only exists when the `json-roundtrip` feature is enabled in an
-    // environment with crates.io access.
-    #[cfg(feature = "json-roundtrip")]
-    #[test]
-    fn reports_serialize_round_trip() {
-        let r = mac_report(OptLevel::Pipelined);
-        let json = serde_json::to_string(&r).expect("serializes");
-        let back: SequenceReport = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(r, back);
     }
 
     #[test]

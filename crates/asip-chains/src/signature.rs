@@ -1,7 +1,6 @@
 //! Sequence signatures: the op-class tuples naming detected sequences.
 
 use asip_ir::OpClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -18,7 +17,7 @@ use std::str::FromStr;
 /// assert_eq!(mac.to_string(), "multiply-add");
 /// # Ok::<(), asip_chains::signature::ParseSignatureError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Signature(Vec<OpClass>);
 
 impl Signature {

@@ -4,19 +4,34 @@ use crate::ast::*;
 use crate::error::{FrontendError, Pos};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
+/// Nesting budget: parenthesized, unary and binary expressions and
+/// nested statement bodies each spend one level. It bounds the depth of
+/// the AST, and so the recursion of this parser and of the later sema
+/// and lowering walks. Built at the workspace's opt-level 1 or above,
+/// the deepest accepted nesting uses at most about a quarter of a 2 MiB
+/// thread stack (unoptimized builds need roughly ten times as much).
+const MAX_DEPTH: usize = 256;
+
 /// Parse a token stream into a [`Unit`].
 ///
 /// # Errors
 ///
 /// Returns [`FrontendError::Parse`] with the position of the offending
-/// token.
+/// token, including when nesting exceeds the depth budget.
 pub fn parse(tokens: &[Token]) -> Result<Unit, FrontendError> {
-    Parser { tokens, i: 0 }.unit()
+    Parser {
+        tokens,
+        i: 0,
+        depth: 0,
+    }
+    .unit()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     i: usize,
+    /// Nesting levels spent so far (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -42,6 +57,16 @@ impl<'a> Parser<'a> {
 
     fn err(&self, detail: impl Into<String>) -> FrontendError {
         FrontendError::parse(self.pos(), detail.into())
+    }
+
+    /// Spend one nesting level; the caller gives it back on success.
+    /// A failed parse never resumes, so error paths need not.
+    fn descend(&mut self) -> Result<(), FrontendError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn eat_punct(&mut self, p: Punct) -> Result<(), FrontendError> {
@@ -218,11 +243,14 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, FrontendError> {
-        if matches!(self.peek_kind(), TokenKind::Punct(Punct::LBrace)) {
-            self.block()
+        self.descend()?;
+        let body = if matches!(self.peek_kind(), TokenKind::Punct(Punct::LBrace)) {
+            self.block()?
         } else {
-            Ok(vec![self.stmt()?])
-        }
+            vec![self.stmt()?]
+        };
+        self.depth -= 1;
+        Ok(body)
     }
 
     /// `+=`/`-=`/`*=`//`=` desugar target, if the next token is one.
@@ -438,14 +466,14 @@ impl<'a> Parser<'a> {
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, FrontendError> {
+        let base = self.depth;
         let mut lhs = self.unary_expr()?;
-        loop {
-            let Some((op, prec)) = self.peek_binop() else {
-                return Ok(lhs);
-            };
+        while let Some((op, prec)) = self.peek_binop() {
             if prec < min_prec {
-                return Ok(lhs);
+                break;
             }
+            // each fold nests the chain so far one level deeper
+            self.descend()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
@@ -456,6 +484,8 @@ impl<'a> Parser<'a> {
                 pos,
             };
         }
+        self.depth = base;
+        Ok(lhs)
     }
 
     fn peek_binop(&self) -> Option<(BinaryOp, u8)> {
@@ -486,6 +516,13 @@ impl<'a> Parser<'a> {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
+        self.descend()?;
+        let e = self.unary_expr_inner()?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    fn unary_expr_inner(&mut self) -> Result<Expr, FrontendError> {
         let pos = self.pos();
         match self.peek_kind() {
             TokenKind::Punct(Punct::Minus) => {

@@ -2,10 +2,9 @@
 
 use crate::inst::Inst;
 use crate::types::BlockId;
-use serde::{Deserialize, Serialize};
 
 /// A basic block: straight-line instructions ending in one terminator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// This block's id (its index in [`crate::Program::blocks`]).
     pub id: BlockId,

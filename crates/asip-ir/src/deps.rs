@@ -5,10 +5,9 @@
 //! the legality core of the optimizer.
 
 use crate::inst::Inst;
-use serde::{Deserialize, Serialize};
 
 /// The kind of dependence from an earlier instruction to a later one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// Read-after-write: later reads a register earlier defines.
     Flow,

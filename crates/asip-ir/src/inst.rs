@@ -2,11 +2,10 @@
 
 use crate::op::{BinOp, OpClass, UnOp};
 use crate::types::{ArrayId, BlockId, InstId, Operand, Reg};
-use serde::{Deserialize, Serialize};
 use smallvec_shim::SmallOperands;
 
 /// A single three-address instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inst {
     /// Stable identity (see [`InstId`] for profile-attribution semantics).
     pub id: InstId,
@@ -15,7 +14,7 @@ pub struct Inst {
 }
 
 /// The operation payload of an [`Inst`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InstKind {
     /// `dst = op lhs, rhs`
     Binary {

@@ -7,12 +7,11 @@
 //! regenerated tables read like the paper's.
 
 use crate::types::Ty;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Binary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BinOp {
     /// Integer addition.
     Add,
@@ -174,7 +173,7 @@ impl FromStr for BinOp {
 }
 
 /// Unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UnOp {
     /// Integer negation.
     Neg,
@@ -254,7 +253,7 @@ impl FromStr for UnOp {
 
 /// Math intrinsics available to mini-C programs (the FFT benchmarks need
 /// `sin`/`cos`; `sqrt`/`fabs` appear in magnitude computations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MathFn {
     /// Sine.
     Sin,
@@ -336,7 +335,7 @@ impl fmt::Display for MathFn {
 /// Display renders the exact words used by the paper's tables
 /// (`multiply`, `fload`, `fmultiply`, …) so a signature prints as e.g.
 /// `add-multiply-add`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Integer addition.
     Add,

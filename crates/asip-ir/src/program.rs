@@ -5,11 +5,10 @@ use crate::error::{IrError, Result};
 use crate::inst::{Inst, InstKind};
 use crate::op::OpClass;
 use crate::types::{ArrayId, BlockId, InstId, Operand, Reg, Ty};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// How an array is bound at simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayKind {
     /// Filled from the experiment's input data before execution.
     Input,
@@ -38,7 +37,7 @@ impl ArrayKind {
 /// `elem_size = 1`) makes indices plain element numbers; a front end
 /// that emits explicit address arithmetic (scaling multiply + base add,
 /// as gcc-era 3-address code does) assigns real byte layouts instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
     /// Source-level name.
     pub name: String,
@@ -78,7 +77,7 @@ impl ArrayDecl {
 ///
 /// The front end inlines all calls, so a `Program` corresponds to the
 /// paper's per-benchmark "3-address code" unit of analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Program name (benchmark name).
     pub name: String,

@@ -1,6 +1,5 @@
 //! Core value and id types for the IR.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scalar value types supported by the IR.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The paper's 3-address code distinguishes integer and floating-point
 /// operations (its Table 3 reports `fload-fmultiply` separately from
 /// `load-multiply`), so the type is tracked per register and per array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Ty {
     /// 64-bit signed integer.
     Int,
@@ -29,7 +28,7 @@ impl fmt::Display for Ty {
 ///
 /// Registers are unbounded; the register file constraint only matters to
 /// the ASIP back end, not to the sequence analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u32);
 
 impl Reg {
@@ -47,7 +46,7 @@ impl fmt::Display for Reg {
 }
 
 /// Identifier of a declared array (memory object).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 impl ArrayId {
@@ -65,7 +64,7 @@ impl fmt::Display for ArrayId {
 }
 
 /// Identifier of a basic block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -89,7 +88,7 @@ impl fmt::Display for BlockId {
 /// predecessors) the clone records the original id, so dynamic profile
 /// counts collected on the *unoptimized* program (paper Figure 2, step 2)
 /// can still be attributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstId(pub u32);
 
 impl InstId {
@@ -107,7 +106,7 @@ impl fmt::Display for InstId {
 }
 
 /// An instruction operand: either a register or an immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Operand {
     /// Read from a virtual register.
     Reg(Reg),
@@ -169,7 +168,7 @@ impl fmt::Display for Operand {
 }
 
 /// A runtime scalar value produced by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Integer value.
     Int(i64),

@@ -2,11 +2,10 @@
 //! detector's input.
 
 use asip_ir::{BlockId, Inst, InstId, OpClass, Program};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in a [`ScheduleGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

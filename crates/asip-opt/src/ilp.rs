@@ -14,10 +14,9 @@ use crate::graph::ScheduleGraph;
 use crate::optimizer::{OptConfig, OptLevel, Optimizer};
 use asip_ir::Program;
 use asip_sim::Profile;
-use serde::{Deserialize, Serialize};
 
 /// ILP measurements for one issue width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IlpPoint {
     /// Issue width scheduled for.
     pub width: usize,
@@ -30,7 +29,7 @@ pub struct IlpPoint {
 }
 
 /// An ILP characterization: one point per issue width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IlpReport {
     /// Program name.
     pub name: String,

@@ -9,11 +9,10 @@ use crate::rename::rename_registers;
 use crate::work::Work;
 use asip_ir::Program;
 use asip_sim::Profile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three optimization levels of the paper's experiments (Section 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptLevel {
     /// Level 0: no optimization — sequential 3-address order.
     None,
@@ -59,7 +58,7 @@ impl fmt::Display for OptLevel {
 }
 
 /// Tunable knobs for the optimizer (used by the ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptConfig {
     /// Kernel unroll factor for loop pipelining (≥ 2 to pipeline).
     pub unroll: usize,

@@ -39,16 +39,15 @@
 //!   byte-identical to the reference interpreter's bump-per-instruction
 //!   profile.
 //!
-//! Per-run state lives in a reusable, arena-backed [`RunState`]: both
+//! Per-run state lives in a reusable, arena-backed `RunState`: both
 //! typed arenas are single allocations sized once at decode time and
 //! **reset by `memcpy`** from the decoded init images at the start of
 //! every run. [`Engine`] pools states internally, so sweeps that run
 //! the same decoded program thousands of times (ablation, design-space
 //! search, batched profiling) perform zero per-run bank allocations —
-//! see [`Engine::run_batch`], [`Engine::run_pooled`] and
-//! [`Engine::bind`] (input validation hoisted out of the per-run
-//! path). Output memory is materialized lazily: profile-only runs
-//! never re-box arenas into `Vec<Value>`.
+//! see [`Engine::run_pooled`] and [`Engine::bind`] (input validation
+//! hoisted out of the per-run path). Output memory is materialized
+//! lazily: profile-only runs never re-box arenas into `Vec<Value>`.
 //!
 //! Error paths allocate nothing until an error actually occurs: the
 //! decoded load/store entries carry only declaration indices, and the
@@ -357,13 +356,12 @@ enum Step {
 
 /// A reusable, arena-backed run state: one flat `i64` arena and one
 /// flat `f64` arena (each laid out `[arrays][registers][constants]`)
-/// plus the per-block entry counters. Created by [`Engine::new_state`]
-/// or checked out of the engine's internal pool by the pooled run
-/// APIs; every [`Engine::run_into`] resets it by `memcpy` from the
-/// decoded init images before executing, so a faulted or interrupted
-/// run can never leak state into the next one.
+/// plus the per-block entry counters. Checked out of the engine's
+/// internal pool by the pooled run APIs; every run resets it by
+/// `memcpy` from the decoded init images before executing, so a
+/// faulted or interrupted run can never leak state into the next one.
 #[derive(Debug)]
-pub struct RunState {
+pub(crate) struct RunState {
     ints: Vec<i64>,
     floats: Vec<f64>,
     block_counts: Vec<u64>,
@@ -373,8 +371,8 @@ pub struct RunState {
 /// dataset)` pair: the typed values of every input array plus the
 /// arena offsets they are copied to at the start of each run.
 /// Re-validating and re-collecting bindings per run is the other half
-/// of the per-run allocation storm [`RunState`] removes — prepare once
-/// with [`Engine::bind`], reuse across a whole batch or sweep.
+/// of the per-run allocation storm pooled run states remove — prepare
+/// once with [`Engine::bind`], reuse across a whole sweep.
 #[derive(Debug, Clone)]
 pub struct BoundInputs {
     ints: Vec<(u32, Vec<i64>)>,
@@ -387,8 +385,8 @@ pub struct BoundInputs {
 
 /// What a profile-only run produces: everything an [`Execution`]
 /// carries except the materialized output memory (see
-/// [`Engine::run_profile`]; pair with [`Engine::materialize_memory`]
-/// when the outputs are actually needed).
+/// [`Engine::run_pooled`]; [`Engine::run`] materializes the outputs
+/// when they are actually needed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// The derived execution profile.
@@ -442,7 +440,7 @@ pub struct DecodedProgram {
     chains: Vec<ChainPlan>,
     /// Init image of the int arena, laid out
     /// `[arrays][registers][constants]` (arrays and registers zeroed,
-    /// constants materialized). A [`RunState`] is reset by copying
+    /// constants materialized). A `RunState` is reset by copying
     /// these images over its arenas.
     image_ints: Vec<i64>,
     /// Init image of the float arena, same layout.
@@ -452,10 +450,6 @@ pub struct DecodedProgram {
     inst_slots: usize,
     /// Working-count sizing: `max(inst_slots, max decoded id + 1)`.
     count_slots: usize,
-    /// Per-decoded-index dispatch handlers (the `tail-dispatch`
-    /// experiment), parallel to `insts`.
-    #[cfg(feature = "tail-dispatch")]
-    handlers: Vec<Handler>,
 }
 
 /// Decode-time register/constant slot assignment for one arena.
@@ -1043,9 +1037,6 @@ impl DecodedProgram {
         let mut image_floats = vec![0f64; (float_off + n_float) as usize];
         image_floats.extend(&lower.float_bank.consts_f);
 
-        #[cfg(feature = "tail-dispatch")]
-        let handlers = insts.iter().map(handler_for).collect();
-
         DecodedProgram {
             insts,
             origins,
@@ -1061,8 +1052,6 @@ impl DecodedProgram {
             entry: program.entry.0,
             inst_slots: program.next_inst_id as usize,
             count_slots: (program.next_inst_id as usize).max(max_id),
-            #[cfg(feature = "tail-dispatch")]
-            handlers,
         }
     }
 
@@ -1076,9 +1065,9 @@ impl DecodedProgram {
         self.insts.is_empty()
     }
 
-    /// Allocate a fresh, reset [`RunState`] sized for this program's
+    /// Allocate a fresh, reset `RunState` sized for this program's
     /// arenas.
-    pub(crate) fn new_state(&self) -> RunState {
+    fn new_state(&self) -> RunState {
         RunState {
             ints: self.image_ints.clone(),
             floats: self.image_floats.clone(),
@@ -1153,7 +1142,7 @@ impl DecodedProgram {
     /// Repackage the arena's array spans into the declaration-ordered
     /// [`Value`] arrays of an [`Execution`] — the lazy half of the old
     /// eager `finish_memory`: profile-only runs never call this.
-    pub(crate) fn materialize_memory(&self, state: &RunState) -> Vec<Vec<Value>> {
+    fn materialize_memory(&self, state: &RunState) -> Vec<Vec<Value>> {
         self.arrays
             .iter()
             .map(|plan| {
@@ -1182,8 +1171,7 @@ impl DecodedProgram {
         }
     }
 
-    /// Direct-layout int load: the shared body of the `LoadInt` arm
-    /// and its dispatch handler.
+    /// Direct-layout int load.
     #[inline(always)]
     fn direct_load_int(&self, dst: u32, decl: u32, index: u32, m: &mut RunState) -> Step {
         let addr = m.ints[index as usize];
@@ -1576,7 +1564,7 @@ impl DecodedProgram {
     /// Reset `state` from the init images, copy `inputs` in, and run
     /// to completion — the allocation-free hot path under every run
     /// API (only the outcome's derived profile allocates).
-    pub(crate) fn run_into(
+    fn run_into(
         &self,
         state: &mut RunState,
         inputs: &BoundInputs,
@@ -1623,16 +1611,8 @@ impl DecodedProgram {
                 let (lo, hi) = (plan.start as usize, plan.end as usize);
                 // iterate the block as a slice so the per-instruction
                 // bounds check is hoisted to one check per block
-                #[cfg(feature = "tail-dispatch")]
-                let handlers = &self.handlers[lo..hi];
-                for (pc, inst) in self.insts[lo..hi].iter().enumerate() {
-                    #[cfg(not(feature = "tail-dispatch"))]
-                    let _ = pc;
-                    #[cfg(not(feature = "tail-dispatch"))]
-                    let step = self.exec(inst, state);
-                    #[cfg(feature = "tail-dispatch")]
-                    let step = (handlers[pc])(self, inst, state);
-                    match step {
+                for inst in &self.insts[lo..hi] {
+                    match self.exec(inst, state) {
                         Step::Next => {}
                         Step::Goto(b) => {
                             block = b as usize;
@@ -1984,341 +1964,6 @@ fn eval_float_cmp(op: BinOp, a: f64, b: f64) -> i64 {
     }
 }
 
-/// The `tail-dispatch` experiment: one pre-resolved function pointer
-/// per decoded instruction, so the hot loop makes an indirect call per
-/// instruction instead of evaluating a `match` — the closest safe Rust
-/// gets to a computed-goto/threaded interpreter
-/// (`#![forbid(unsafe_code)]` rules out real tail-threading). The
-/// table is built at decode time, parallel to `insts`; the match loop
-/// stays the default and the two are benched against each other in
-/// `docs/perf.md`.
-#[cfg(feature = "tail-dispatch")]
-type Handler = fn(&DecodedProgram, &DecodedInst, &mut RunState) -> Step;
-
-/// Resolve the handler for one decoded instruction.
-#[cfg(feature = "tail-dispatch")]
-fn handler_for(inst: &DecodedInst) -> Handler {
-    use handlers::*;
-    match inst {
-        DecodedInst::IntBin { .. } => int_bin,
-        DecodedInst::FloatBin { .. } => float_bin,
-        DecodedInst::FloatCmp { .. } => float_cmp,
-        DecodedInst::IntUn { .. } => int_un,
-        DecodedInst::FloatUn { .. } => float_un,
-        DecodedInst::IntToFloat { .. } => int_to_float,
-        DecodedInst::FloatToInt { .. } => float_to_int,
-        DecodedInst::LoadInt { .. } => load_int,
-        DecodedInst::LoadFloat { .. } => load_float,
-        DecodedInst::LoadIntAddr { .. } => load_int_addr,
-        DecodedInst::LoadFloatAddr { .. } => load_float_addr,
-        DecodedInst::StoreInt { .. } => store_int,
-        DecodedInst::StoreFloat { .. } => store_float,
-        DecodedInst::StoreIntAddr { .. } => store_int_addr,
-        DecodedInst::StoreFloatAddr { .. } => store_float_addr,
-        DecodedInst::Branch { .. } => branch,
-        DecodedInst::IntBinBranch { .. } => int_bin_branch,
-        DecodedInst::FloatCmpBranch { .. } => float_cmp_branch,
-        DecodedInst::IntBinMov { .. } => int_bin_mov,
-        DecodedInst::FloatBinMov { .. } => float_bin_mov,
-        DecodedInst::IntBinLoadInt { .. } => int_bin_load_int,
-        DecodedInst::IntBinLoadFloat { .. } => int_bin_load_float,
-        DecodedInst::Jump { .. } => jump,
-        DecodedInst::RetNone => ret_none,
-        DecodedInst::RetInt { .. } => ret_int,
-        DecodedInst::RetFloat { .. } => ret_float,
-        DecodedInst::Chained { .. } => chained,
-        DecodedInst::Unterminated => unterminated,
-    }
-}
-
-/// Per-variant dispatch handlers. Each destructures the variant it was
-/// resolved for (`handler_for` guarantees the match) and either
-/// inlines the trivial arithmetic or delegates to the same
-/// `#[inline(always)]` helper the match loop's arm uses, so the two
-/// dispatch strategies cannot drift semantically.
-#[cfg(feature = "tail-dispatch")]
-mod handlers {
-    use super::*;
-
-    pub(super) fn int_bin(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBin { op, dst, lhs, rhs } = *i else {
-            unreachable!()
-        };
-        m.ints[dst as usize] = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        Step::Next
-    }
-
-    pub(super) fn float_bin(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatBin { op, dst, lhs, rhs } = *i else {
-            unreachable!()
-        };
-        m.floats[dst as usize] = eval_float_bin(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        Step::Next
-    }
-
-    pub(super) fn float_cmp(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatCmp { op, dst, lhs, rhs } = *i else {
-            unreachable!()
-        };
-        m.ints[dst as usize] = eval_float_cmp(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        Step::Next
-    }
-
-    pub(super) fn int_un(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntUn { op, dst, src } = *i else {
-            unreachable!()
-        };
-        let v = m.ints[src as usize];
-        m.ints[dst as usize] = match op {
-            UnOp::Neg => v.wrapping_neg(),
-            UnOp::Not => !v,
-            UnOp::Mov => v,
-            _ => unreachable!("decode put a non-int unary in IntUn"),
-        };
-        Step::Next
-    }
-
-    pub(super) fn float_un(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatUn { op, dst, src } = *i else {
-            unreachable!()
-        };
-        let v = m.floats[src as usize];
-        m.floats[dst as usize] = match op {
-            UnOp::FNeg => -v,
-            UnOp::Mov => v,
-            UnOp::Math(f) => f.eval(v),
-            _ => unreachable!("decode put a non-float unary in FloatUn"),
-        };
-        Step::Next
-    }
-
-    pub(super) fn int_to_float(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntToFloat { dst, src } = *i else {
-            unreachable!()
-        };
-        m.floats[dst as usize] = m.ints[src as usize] as f64;
-        Step::Next
-    }
-
-    pub(super) fn float_to_int(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatToInt { dst, src } = *i else {
-            unreachable!()
-        };
-        m.ints[dst as usize] = m.floats[src as usize] as i64;
-        Step::Next
-    }
-
-    pub(super) fn load_int(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadInt { dst, decl, index } = *i else {
-            unreachable!()
-        };
-        p.direct_load_int(dst, decl, index, m)
-    }
-
-    pub(super) fn load_float(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadFloat { dst, decl, index } = *i else {
-            unreachable!()
-        };
-        p.direct_load_float(dst, decl, index, m)
-    }
-
-    pub(super) fn load_int_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadIntAddr { dst, arr, index } = *i else {
-            unreachable!()
-        };
-        p.addr_load_int(dst, arr, index, m)
-    }
-
-    pub(super) fn load_float_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadFloatAddr { dst, arr, index } = *i else {
-            unreachable!()
-        };
-        p.addr_load_float(dst, arr, index, m)
-    }
-
-    pub(super) fn store_int(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreInt { decl, index, value } = *i else {
-            unreachable!()
-        };
-        p.direct_store_int(decl, index, value, m)
-    }
-
-    pub(super) fn store_float(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreFloat { decl, index, value } = *i else {
-            unreachable!()
-        };
-        p.direct_store_float(decl, index, value, m)
-    }
-
-    pub(super) fn store_int_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreIntAddr { arr, index, value } = *i else {
-            unreachable!()
-        };
-        p.addr_store_int(arr, index, value, m)
-    }
-
-    pub(super) fn store_float_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreFloatAddr { arr, index, value } = *i else {
-            unreachable!()
-        };
-        p.addr_store_float(arr, index, value, m)
-    }
-
-    pub(super) fn branch(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::Branch {
-            cond,
-            then_b,
-            else_b,
-        } = *i
-        else {
-            unreachable!()
-        };
-        Step::Goto(if m.ints[cond as usize] != 0 {
-            then_b
-        } else {
-            else_b
-        })
-    }
-
-    pub(super) fn int_bin_branch(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBinBranch {
-            op,
-            dst,
-            lhs,
-            rhs,
-            then_b,
-            else_b,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        m.ints[dst as usize] = v;
-        Step::Goto(if v != 0 { then_b } else { else_b })
-    }
-
-    pub(super) fn float_cmp_branch(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatCmpBranch {
-            op,
-            dst,
-            lhs,
-            rhs,
-            then_b,
-            else_b,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_float_cmp(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        m.ints[dst as usize] = v;
-        Step::Goto(if v != 0 { then_b } else { else_b })
-    }
-
-    pub(super) fn int_bin_mov(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBinMov {
-            op,
-            dst,
-            dst2,
-            lhs,
-            rhs,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        m.ints[dst as usize] = v;
-        m.ints[dst2 as usize] = v;
-        Step::Next
-    }
-
-    pub(super) fn float_bin_mov(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatBinMov {
-            op,
-            dst,
-            dst2,
-            lhs,
-            rhs,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_float_bin(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        m.floats[dst as usize] = v;
-        m.floats[dst2 as usize] = v;
-        Step::Next
-    }
-
-    pub(super) fn int_bin_load_int(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBinLoadInt {
-            op,
-            dst,
-            lhs,
-            rhs,
-            ld,
-            decl,
-        } = *i
-        else {
-            unreachable!()
-        };
-        p.int_bin_load_int(op, dst, lhs, rhs, ld, decl, m)
-    }
-
-    pub(super) fn int_bin_load_float(
-        p: &DecodedProgram,
-        i: &DecodedInst,
-        m: &mut RunState,
-    ) -> Step {
-        let DecodedInst::IntBinLoadFloat {
-            op,
-            dst,
-            lhs,
-            rhs,
-            ld,
-            decl,
-        } = *i
-        else {
-            unreachable!()
-        };
-        p.int_bin_load_float(op, dst, lhs, rhs, ld, decl, m)
-    }
-
-    pub(super) fn jump(_p: &DecodedProgram, i: &DecodedInst, _m: &mut RunState) -> Step {
-        let DecodedInst::Jump { target } = *i else {
-            unreachable!()
-        };
-        Step::Goto(target)
-    }
-
-    pub(super) fn ret_none(_p: &DecodedProgram, _i: &DecodedInst, _m: &mut RunState) -> Step {
-        Step::Halt(None)
-    }
-
-    pub(super) fn ret_int(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::RetInt { src } = *i else {
-            unreachable!()
-        };
-        Step::Halt(Some(Value::Int(m.ints[src as usize])))
-    }
-
-    pub(super) fn ret_float(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::RetFloat { src } = *i else {
-            unreachable!()
-        };
-        Step::Halt(Some(Value::Float(m.floats[src as usize])))
-    }
-
-    pub(super) fn chained(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::Chained { dst, plan } = *i else {
-            unreachable!()
-        };
-        p.run_chain(dst, plan, m)
-    }
-
-    pub(super) fn unterminated(_p: &DecodedProgram, _i: &DecodedInst, _m: &mut RunState) -> Step {
-        unreachable!("block fell through without terminator")
-    }
-}
-
 /// Upper bound on pooled run states per engine. One state per worker
 /// thread is the steady state; 64 comfortably covers any session pool
 /// while bounding what an anomalous burst can pin.
@@ -2329,14 +1974,11 @@ const POOL_CAP: usize = 64;
 /// same program (three opt levels, suite sweeps, evaluate re-runs)
 /// never pay the decode again.
 ///
-/// The engine also pools [`RunState`]s internally: [`Engine::run`],
-/// [`Engine::run_profile`], [`Engine::run_pooled`] and
-/// [`Engine::run_batch`] check a state out, run (reset is a `memcpy`
-/// from the decoded init images), and return it — after warm-up, a
-/// sweep of thousands of runs performs zero per-run bank allocations
-/// ([`Engine::run_state_stats`] counts both sides). Callers that want
-/// explicit control use [`Engine::new_state`] + [`Engine::bind`] +
-/// [`Engine::run_into`] directly.
+/// The engine also pools run states internally: [`Engine::run`]
+/// and [`Engine::run_pooled`] check a state out, run (reset is a
+/// `memcpy` from the decoded init images), and return it — after
+/// warm-up, a sweep of thousands of runs performs zero per-run bank
+/// allocations ([`Engine::run_state_stats`] counts both sides).
 ///
 /// [`crate::Simulator`] is the borrowing one-shot facade over the same
 /// execution paths; `Engine` owns its program via `Arc` so it can
@@ -2346,7 +1988,7 @@ pub struct Engine {
     program: Arc<Program>,
     code: DecodedProgram,
     step_limit: u64,
-    /// Reusable run states, checked out per run (or once per batch).
+    /// Reusable run states, checked out per run.
     pool: Mutex<Vec<RunState>>,
     checkouts: AtomicU64,
     creates: AtomicU64,
@@ -2415,8 +2057,8 @@ impl Engine {
     }
 
     /// Validate and convert `data`'s input bindings once, for reuse
-    /// across any number of [`Engine::run_into`] /
-    /// [`Engine::run_pooled`] calls on this engine.
+    /// across any number of [`Engine::run_pooled`] calls on this
+    /// engine.
     ///
     /// # Errors
     ///
@@ -2424,37 +2066,6 @@ impl Engine {
     /// wrong lengths, wrong types.
     pub fn bind(&self, data: &DataSet) -> Result<BoundInputs> {
         self.code.bind(data)
-    }
-
-    /// Allocate a fresh [`RunState`] sized for this program's arenas,
-    /// for callers that manage their own states (the pooled run APIs
-    /// use the engine's internal pool instead).
-    pub fn new_state(&self) -> RunState {
-        self.code.new_state()
-    }
-
-    /// Run into a caller-managed state: reset by `memcpy`, copy the
-    /// bound inputs in, execute. Allocates nothing but the outcome's
-    /// profile.
-    ///
-    /// # Errors
-    ///
-    /// Bad array accesses and the step limit (binding errors were
-    /// already surfaced by [`Engine::bind`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` or `inputs` were built by an engine for a
-    /// different program (arena sizes differ).
-    pub fn run_into(&self, state: &mut RunState, inputs: &BoundInputs) -> Result<RunOutcome> {
-        self.code.run_into(state, inputs, self.step_limit)
-    }
-
-    /// Materialize the declaration-ordered `Vec<Value>` output arrays
-    /// from a state this engine just ran — the lazy half of a full
-    /// [`Execution`], for when the outputs are actually needed.
-    pub fn materialize_memory(&self, state: &RunState) -> Vec<Vec<Value>> {
-        self.code.materialize_memory(state)
     }
 
     /// Run the program on the given input data.
@@ -2478,18 +2089,6 @@ impl Engine {
         finished
     }
 
-    /// Profile-only pooled run: binds, runs, and returns the profile
-    /// and result without ever materializing `Vec<Value>` output
-    /// arrays (the profile stage's path).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_profile(&self, data: &DataSet) -> Result<RunOutcome> {
-        let inputs = self.code.bind(data)?;
-        self.run_pooled(&inputs)
-    }
-
     /// Pooled run over inputs prepared by [`Engine::bind`], skipping
     /// per-run re-validation and output materialization.
     ///
@@ -2501,39 +2100,6 @@ impl Engine {
         let outcome = self.code.run_into(&mut state, inputs, self.step_limit);
         self.checkin(state);
         outcome
-    }
-
-    /// Run a batch of datasets through **one** pooled run state,
-    /// binding each dataset once: the sweep-shaped API. Results are
-    /// byte-identical to sequential [`Engine::run`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Fail-fast: the first dataset that errors (binding, bad access,
-    /// step limit) aborts the batch and returns its error.
-    pub fn run_batch(&self, datasets: &[&DataSet]) -> Result<Vec<Execution>> {
-        let mut state = self.checkout();
-        let mut results = Vec::with_capacity(datasets.len());
-        for data in datasets {
-            let one = self.code.bind(data).and_then(|inputs| {
-                self.code
-                    .run_into(&mut state, &inputs, self.step_limit)
-                    .map(|out| Execution {
-                        profile: out.profile,
-                        memory: self.code.materialize_memory(&state),
-                        result: out.result,
-                    })
-            });
-            match one {
-                Ok(exec) => results.push(exec),
-                Err(e) => {
-                    self.checkin(state);
-                    return Err(e);
-                }
-            }
-        }
-        self.checkin(state);
-        Ok(results)
     }
 
     /// Run with an execution-trace observer (see [`crate::trace`]).
@@ -2757,22 +2323,6 @@ mod tests {
         let stats = engine.run_state_stats();
         assert_eq!(stats.checkouts, 9);
         assert_eq!(stats.creates, 1, "one allocation serves the whole sweep");
-    }
-
-    #[test]
-    fn run_batch_matches_sequential_runs() {
-        let engine = Engine::new(Arc::new(sum_loop_program(4)));
-        let d1 = data();
-        let mut d2 = DataSet::new();
-        d2.bind_ints("x", vec![4, 3, 2, 1]);
-        let batch = engine.run_batch(&[&d1, &d2]).expect("runs");
-        assert_eq!(batch.len(), 2);
-        for (b, d) in batch.iter().zip([&d1, &d2]) {
-            let s = engine.run(d).expect("runs");
-            assert_eq!(b.profile, s.profile);
-            assert_eq!(b.memory, s.memory);
-            assert_eq!(b.result, s.result);
-        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Dynamic execution profiles.
 
 use asip_ir::{BlockId, InstId};
-use serde::{Deserialize, Serialize};
 
 /// Per-instruction and per-block dynamic execution counts for one run.
 ///
 /// This is the "3-address code with profile info" artifact flowing from
 /// step 2 to step 3 in the paper's Figure 2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     inst_counts: Vec<u64>,
     block_counts: Vec<u64>,

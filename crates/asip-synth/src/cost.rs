@@ -9,7 +9,6 @@
 
 use crate::extension::IsaExtension;
 use asip_ir::OpClass;
-use serde::{Deserialize, Serialize};
 
 /// Area estimate of a functional unit for one op class, in
 /// equivalent-gate units.
@@ -61,7 +60,7 @@ pub fn fu_delay_ns(class: OpClass) -> f64 {
 
 /// Datapath estimate for one chained instruction: the member functional
 /// units wired output-to-input, with no register-file round trips.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainedUnit {
     /// The fused op classes, head first.
     pub classes: Vec<OpClass>,

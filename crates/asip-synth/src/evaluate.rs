@@ -3,12 +3,12 @@
 use crate::extension::AsipDesign;
 use crate::rewrite::{RewriteStats, Rewriter};
 use asip_ir::Program;
-use asip_sim::{DataSet, Engine, SimError, Simulator};
-use serde::{Deserialize, Serialize};
+use asip_sim::{DataSet, Engine, SimError};
+use std::fmt;
 use std::sync::Arc;
 
 /// Measured effect of applying a design to one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Dynamic operations of the baseline run (single-issue: cycles).
     pub base_cycles: u64,
@@ -72,6 +72,46 @@ pub fn prepare(program: &Program, design: &AsipDesign) -> PreparedDesign {
     }
 }
 
+/// Why a design evaluation failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EvalError {
+    /// The baseline or the rewritten run failed in the simulator.
+    Sim(SimError),
+    /// The rewritten program computed different outputs than the
+    /// baseline — a semantics bug in the rewriter, not an input error.
+    OutputMismatch {
+        /// The first array (in declaration order) whose contents differ.
+        array: String,
+    },
+}
+
+impl fmt::Display for EvalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EvalError::Sim(e) => e.fmt(f),
+            EvalError::OutputMismatch { array } => write!(
+                f,
+                "rewritten program computed different contents for `{array}`"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for EvalError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            EvalError::Sim(e) => Some(e),
+            EvalError::OutputMismatch { .. } => None,
+        }
+    }
+}
+
+impl From<SimError> for EvalError {
+    fn from(e: SimError) -> Self {
+        EvalError::Sim(e)
+    }
+}
+
 /// Measure a prepared design against the baseline engine on `data`:
 /// both runs go through the pooled engines, and the outputs of the two
 /// runs are compared, so a rewriter bug can never masquerade as a
@@ -79,23 +119,28 @@ pub fn prepare(program: &Program, design: &AsipDesign) -> PreparedDesign {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors from either run.
-///
-/// # Panics
-///
-/// Panics if the rewritten program computes different outputs — that
-/// would be a semantics bug in the rewriter, not an input error.
+/// [`EvalError::Sim`] if either run fails, and
+/// [`EvalError::OutputMismatch`] if the rewritten program computes
+/// different outputs.
 pub fn evaluate_prepared(
     base_engine: &Engine,
     prepared: &PreparedDesign,
     data: &DataSet,
-) -> Result<Evaluation, SimError> {
+) -> Result<Evaluation, EvalError> {
     let base = base_engine.run(data)?;
     let after = prepared.engine.run(data)?;
-    assert_eq!(
-        base.memory, after.memory,
-        "rewritten program must compute identical outputs"
-    );
+    if base.memory != after.memory {
+        let first = base
+            .memory
+            .iter()
+            .zip(&after.memory)
+            .take_while(|(b, a)| b == a)
+            .count();
+        let decl = base_engine.program().arrays.get(first);
+        return Err(EvalError::OutputMismatch {
+            array: decl.map_or_else(|| format!("#{first}"), |d| d.name.clone()),
+        });
+    }
     let base_cycles = base.profile.total_ops();
     let asip_cycles = after.profile.total_ops();
     Ok(Evaluation {
@@ -113,54 +158,14 @@ pub fn evaluate_prepared(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors from either run.
-///
-/// # Panics
-///
-/// Panics if the rewritten program computes different outputs — that
-/// would be a semantics bug in the rewriter, not an input error.
+/// As [`evaluate_prepared`].
 pub fn evaluate(
     program: &Program,
     design: &AsipDesign,
     data: &DataSet,
-) -> Result<Evaluation, SimError> {
-    let base = Simulator::new(program).run(data)?;
-    let prepared = prepare(program, design);
-    let after = prepared.engine.run(data)?;
-    assert_eq!(
-        base.memory, after.memory,
-        "rewritten program must compute identical outputs"
-    );
-    let base_cycles = base.profile.total_ops();
-    let asip_cycles = after.profile.total_ops();
-    Ok(Evaluation {
-        base_cycles,
-        asip_cycles,
-        speedup: base_cycles as f64 / asip_cycles.max(1) as f64,
-        fused_chains: prepared.stats.fused_chains,
-        extension_area: prepared.area,
-    })
-}
-
-/// As [`evaluate`], but the baseline run reuses an already-decoded
-/// [`Engine`] for the program — the path sessions take when no cached
-/// [`PreparedDesign`] exists yet.
-///
-/// # Errors
-///
-/// Propagates simulator errors from either run.
-///
-/// # Panics
-///
-/// As [`evaluate`]: panics if the rewritten program computes different
-/// outputs.
-pub fn evaluate_with_engine(
-    base_engine: &Engine,
-    design: &AsipDesign,
-    data: &DataSet,
-) -> Result<Evaluation, SimError> {
-    let prepared = prepare(base_engine.program(), design);
-    evaluate_prepared(base_engine, &prepared, data)
+) -> Result<Evaluation, EvalError> {
+    let base = Engine::new(Arc::new(program.clone()));
+    evaluate_prepared(&base, &prepare(program, design), data)
 }
 
 #[cfg(test)]
@@ -184,6 +189,33 @@ mod tests {
             eval.speedup
         );
         assert!(eval.asip_cycles < eval.base_cycles);
+    }
+
+    #[test]
+    fn output_mismatch_is_a_typed_error() {
+        // a "rewrite" that changes semantics: the prepared design runs
+        // `y[0] = x[0] + 2` against a baseline computing `x[0] + 1`
+        fn add_program(k: i64) -> Program {
+            use asip_ir::{BinOp, Operand, ProgramBuilder, Ty};
+            let mut b = ProgramBuilder::new("add");
+            let x = b.input_array("x", Ty::Int, 1);
+            let y = b.output_array("y", Ty::Int, 1);
+            let entry = b.entry_block();
+            b.select_block(entry);
+            let v = b.load(x, Operand::imm_int(0));
+            let w = b.binary(BinOp::Add, v.into(), Operand::imm_int(k));
+            b.store(y, Operand::imm_int(0), w.into());
+            b.ret(None);
+            b.finish().expect("valid")
+        }
+        let base = Engine::new(Arc::new(add_program(1)));
+        let wrong = prepare(&add_program(2), &AsipDesign::default());
+        let mut data = DataSet::new();
+        data.bind_ints("x", vec![5]);
+        assert_eq!(
+            evaluate_prepared(&base, &wrong, &data),
+            Err(EvalError::OutputMismatch { array: "y".into() })
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! ISA extensions and complete designs.
 
 use asip_chains::Signature;
-use serde::{Deserialize, Serialize};
 
 /// One chained-instruction extension chosen for the ASIP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsaExtension {
     /// Extension id (the `ext` field of [`asip_ir::InstKind::Chained`]).
     pub id: u32,
@@ -17,7 +16,7 @@ pub struct IsaExtension {
 }
 
 /// A complete extension set for one ASIP.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AsipDesign {
     /// Chosen extensions, in selection order.
     pub extensions: Vec<IsaExtension>,

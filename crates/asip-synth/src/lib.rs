@@ -55,9 +55,7 @@ pub mod rewrite;
 pub mod select;
 
 pub use cost::{fu_area, fu_delay_ns, ChainedUnit};
-pub use evaluate::{
-    evaluate, evaluate_prepared, evaluate_with_engine, prepare, Evaluation, PreparedDesign,
-};
+pub use evaluate::{evaluate, evaluate_prepared, prepare, EvalError, Evaluation, PreparedDesign};
 pub use extension::{AsipDesign, IsaExtension};
 pub use frontier::{DesignSpace, LevelFeedback, ParetoPoint, SearchStats};
 pub use report::DesignReport;

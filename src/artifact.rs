@@ -324,14 +324,10 @@ impl Exploration {
 
 // -- the artifact codec ------------------------------------------------
 //
-// The offline build links a no-op `serde` shim, so derive-based
-// serialization is unavailable; stage payloads are persisted with this
-// hand-rolled self-describing binary codec instead. Every value carries
-// a one-byte type tag, so a decoder reading skewed bytes fails with a
-// typed [`CodecError`] instead of misinterpreting them. Swapping in the
-// real serde later is mechanical: replace each `ArtifactCodec` impl
-// with the already-present derives and re-point the store at
-// `bincode`/`serde_json`.
+// Stage payloads are persisted with this hand-rolled self-describing
+// binary codec. Every value carries a one-byte type tag, so a decoder
+// reading skewed bytes fails with a typed [`CodecError`] instead of
+// misinterpreting them.
 
 /// Type tags of the self-describing binary artifact encoding. One tag
 /// byte precedes every encoded value; see `docs/persistence.md` for the

@@ -11,6 +11,7 @@
 use asip_frontend::FrontendError;
 use asip_ir::IrError;
 use asip_sim::SimError;
+use asip_synth::EvalError;
 use std::fmt;
 
 /// A failure while decoding a persisted artifact (see
@@ -186,9 +187,10 @@ pub enum ExplorerError {
     Ir(IrError),
     /// The profiling simulation failed (paper step 2).
     Sim(SimError),
-    /// The design-evaluation rerun failed (paper Figure 1: measuring the
+    /// The design-evaluation rerun failed or the rewritten program
+    /// computed different outputs (paper Figure 1: measuring the
     /// rewritten program on the proposed ASIP).
-    Eval(SimError),
+    Eval(EvalError),
     /// A suite-level stage was asked to design for zero benchmarks.
     EmptySuite,
 }
@@ -224,7 +226,8 @@ impl std::error::Error for ExplorerError {
             | ExplorerError::EmptySuite => None,
             ExplorerError::Frontend(e) => Some(e),
             ExplorerError::Ir(e) => Some(e),
-            ExplorerError::Sim(e) | ExplorerError::Eval(e) => Some(e),
+            ExplorerError::Sim(e) => Some(e),
+            ExplorerError::Eval(e) => Some(e),
         }
     }
 }
@@ -276,8 +279,10 @@ mod tests {
             name: "nope".into(),
         };
         assert!(e.to_string().contains("`nope`"));
-        let e = ExplorerError::Eval(SimError::StepLimit { limit: 7 });
+        let e = ExplorerError::Eval(EvalError::Sim(SimError::StepLimit { limit: 7 }));
         assert!(e.to_string().contains("design evaluation"));
+        let e = ExplorerError::Eval(EvalError::OutputMismatch { array: "y".into() });
+        assert!(e.to_string().contains("`y`"));
         let e = ExplorerError::EmptySuite;
         assert!(e.to_string().contains("at least one benchmark"));
         assert!(std::error::Error::source(&e).is_none());

@@ -101,9 +101,8 @@ impl PerfSummary {
 }
 
 /// Parse the bench harness's flat JSON summary: one object, string
-/// keys, numeric values. This is a purpose-built reader (the
-/// workspace's serde is the offline no-op shim), strict enough to
-/// reject anything the harness would not have written.
+/// keys, numeric values. This is a purpose-built reader, strict enough
+/// to reject anything the harness would not have written.
 ///
 /// # Errors
 ///

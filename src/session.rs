@@ -1036,7 +1036,9 @@ impl Explorer {
                 let data = compiled.benchmark.dataset_with_seed(seed);
                 // profile-only pooled run: no Vec<Value> output banks
                 // are ever materialized on this path
-                Ok(self.engine(name)?.run_profile(&data)?.profile)
+                let engine = self.engine(name)?;
+                let inputs = engine.bind(&data)?;
+                Ok(engine.run_pooled(&inputs)?.profile)
             },
         )?;
         Ok(Profiled {
@@ -2036,13 +2038,14 @@ mod tests {
             .benchmark("sewha")
             .expect("registered")
             .dataset_with_seed(7);
+        let base = session.engine("sewha").expect("cached");
+        let (a_inputs, base_inputs) = (
+            a.engine().bind(&data).expect("binds"),
+            base.bind(&data).expect("binds"),
+        );
         for _ in 0..4 {
-            a.engine().run_profile(&data).expect("runs");
-            session
-                .engine("sewha")
-                .expect("cached")
-                .run_profile(&data)
-                .expect("runs");
+            a.engine().run_pooled(&a_inputs).expect("runs");
+            base.run_pooled(&base_inputs).expect("runs");
         }
         let after = session.cache_stats().run_state;
         assert_eq!(after.creates, warm.creates, "warm sweeps allocate nothing");

@@ -149,3 +149,44 @@ proptest! {
         }
     }
 }
+
+/// Compile `src` on a fresh thread with a 2 MiB stack, the default
+/// size of a spawned thread, so a deep recursion would abort the test
+/// process instead of passing on the larger main-thread stack.
+fn compile_on_small_stack(src: String) -> Result<(), asip_explorer::frontend::FrontendError> {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || asip_explorer::frontend::compile("deep", &src).map(drop))
+        .expect("spawns")
+        .join()
+        .expect("compile does not panic")
+}
+
+/// The four ways to nest: parentheses, unary operators, a binary
+/// chain and statement bodies, each `depth` levels deep.
+fn nested_sources(depth: usize) -> [String; 4] {
+    let main =
+        |body: String| format!("output int y[1]; void main() {{ int x; x = 1; {body} y[0] = x; }}");
+    [
+        main(format!("x = {}x{};", "(".repeat(depth), ")".repeat(depth))),
+        main(format!("x = {}x;", "-".repeat(depth))),
+        main(format!("x = x{};", " + 1".repeat(depth))),
+        main(format!("{}x = 2;", "if (x) ".repeat(depth))),
+    ]
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    for src in nested_sources(100_000) {
+        let err = compile_on_small_stack(src).expect_err("over the depth budget");
+        assert!(
+            matches!(err, asip_explorer::frontend::FrontendError::Parse { .. }),
+            "got {err}"
+        );
+    }
+    // the budget, not the stack, is the binding limit: nesting just
+    // inside it still compiles on the same small thread
+    for src in nested_sources(250) {
+        compile_on_small_stack(src).expect("within the depth budget");
+    }
+}
