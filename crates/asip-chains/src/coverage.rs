@@ -82,22 +82,22 @@ impl CoverageAnalyzer {
     }
 
     /// Run the iterative study on a scheduled graph.
+    ///
+    /// Occurrences are enumerated once. Enumeration consults nothing a
+    /// round changes (pruning depends only on weights), so each round's
+    /// candidates — the occurrences touching no consumed op — are the
+    /// full list filtered, in the same order.
     pub fn analyze(&self, graph: &ScheduleGraph) -> CoverageReport {
-        let detector = SequenceDetector::new(self.config);
+        let mut occurrences = SequenceDetector::new(self.config).occurrences(graph);
         let mut consumed: HashSet<OpRef> = HashSet::new();
         let mut entries: Vec<CoverageEntry> = Vec::new();
 
         for _round in 0..self.max_sequences {
-            let occurrences = detector.occurrences_filtered(graph, |r| consumed.contains(&r));
-            // the already-selected set is tiny (≤ max_sequences), so a
-            // scan over it beats maintaining a second owned set of
-            // cloned signatures
-            let candidates: Vec<Occurrence> = occurrences
-                .into_iter()
-                .filter(|o| entries.iter().all(|e| e.signature != o.signature))
-                .collect();
-            let Some((signature, freq, selected)) = best_signature(graph, &candidates, &consumed)
-            else {
+            // every occurrence of an already-selected signature either
+            // was selected or overlaps one that was, so this also drops
+            // the earlier rounds' signatures
+            occurrences.retain(|o| !o.ops.iter().any(|r| consumed.contains(r)));
+            let Some((signature, freq, selected)) = best_signature(graph, &occurrences) else {
                 break;
             };
             if freq < self.significance_floor {
@@ -126,7 +126,6 @@ impl CoverageAnalyzer {
 fn best_signature(
     graph: &ScheduleGraph,
     occurrences: &[Occurrence],
-    consumed: &HashSet<OpRef>,
 ) -> Option<(Signature, f64, Vec<Occurrence>)> {
     use std::collections::BTreeMap;
     let mut by_sig: BTreeMap<&Signature, Vec<&Occurrence>> = BTreeMap::new();
@@ -136,7 +135,7 @@ fn best_signature(
     // borrow while comparing candidates; clone the winner exactly once
     let mut best: Option<(&Signature, f64, Vec<Occurrence>)> = None;
     for (sig, occs) in by_sig {
-        let (freq, selected) = crate::detect::select_non_overlapping(graph, &occs, consumed);
+        let (freq, selected) = crate::detect::select_non_overlapping(graph, &occs);
         let better = match &best {
             None => true,
             Some((_, bf, _)) => freq > *bf,

@@ -130,14 +130,12 @@ impl DetectorConfig {
 }
 
 /// Select a maximal-weight set of mutually non-overlapping occurrences
-/// (heaviest first), skipping those touching `consumed` ops; returns the
-/// selected occurrences and their total frequency. Used both for report
-/// aggregation (a sequence's frequency never counts one op twice) and by
-/// the coverage analyzer.
+/// (heaviest first); returns the selected occurrences and their total
+/// frequency. Used both for report aggregation (a sequence's frequency
+/// never counts one op twice) and by the coverage analyzer.
 pub fn select_non_overlapping(
     graph: &ScheduleGraph,
     occurrences: &[&Occurrence],
-    consumed: &HashSet<OpRef>,
 ) -> (f64, Vec<Occurrence>) {
     let mut order: Vec<&&Occurrence> = occurrences.iter().collect();
     order.sort_by(|a, b| {
@@ -150,10 +148,7 @@ pub fn select_non_overlapping(
     let mut freq = 0.0;
     let mut selected = Vec::new();
     for o in order {
-        if o.ops
-            .iter()
-            .any(|r| taken.contains(r) || consumed.contains(r))
-        {
+        if o.ops.iter().any(|r| taken.contains(r)) {
             continue;
         }
         taken.extend(o.ops.iter().copied());
@@ -194,39 +189,19 @@ impl SequenceDetector {
 
     /// Enumerate every chain occurrence (unaggregated).
     pub fn occurrences(&self, graph: &ScheduleGraph) -> Vec<Occurrence> {
-        self.occurrences_filtered(graph, |_| false)
-    }
-
-    /// Enumerate occurrences, skipping any chain that touches an op for
-    /// which `consumed` returns true (used by the coverage analyzer).
-    pub fn occurrences_filtered(
-        &self,
-        graph: &ScheduleGraph,
-        consumed: impl Fn(OpRef) -> bool,
-    ) -> Vec<Occurrence> {
         let mut out = Vec::new();
         for (ni, node) in graph.nodes.iter().enumerate() {
             for (oi, op) in node.ops.iter().enumerate() {
+                if !(self.config.chainable)(graph.class_of(op)) {
+                    continue;
+                }
                 let head = OpRef {
                     node: NodeId(ni as u32),
                     index: oi,
                 };
-                if consumed(head) {
-                    continue;
-                }
-                if !(self.config.chainable)(graph.class_of(op)) {
-                    continue;
-                }
                 let mut chain = vec![head];
                 let mut classes = vec![graph.class_of(op)];
-                self.extend(
-                    graph,
-                    &mut chain,
-                    &mut classes,
-                    op.weight,
-                    &consumed,
-                    &mut out,
-                );
+                self.extend(graph, &mut chain, &mut classes, op.weight, &mut out);
             }
         }
         out
@@ -238,7 +213,6 @@ impl SequenceDetector {
         chain: &mut Vec<OpRef>,
         classes: &mut Vec<asip_ir::OpClass>,
         min_weight: f64,
-        consumed: &impl Fn(OpRef) -> bool,
         out: &mut Vec<Occurrence>,
     ) {
         if chain.len() >= self.config.min_len {
@@ -262,7 +236,7 @@ impl SequenceDetector {
         }
         let last = *chain.last().expect("chain non-empty");
         for succ in self.flow_succs(graph, last) {
-            if chain.contains(&succ) || consumed(succ) {
+            if chain.contains(&succ) {
                 continue;
             }
             let op = &graph.node(succ.node).ops[succ.index];
@@ -272,14 +246,7 @@ impl SequenceDetector {
             }
             chain.push(succ);
             classes.push(class);
-            self.extend(
-                graph,
-                chain,
-                classes,
-                min_weight.min(op.weight),
-                consumed,
-                out,
-            );
+            self.extend(graph, chain, classes, min_weight.min(op.weight), out);
             chain.pop();
             classes.pop();
         }

@@ -38,14 +38,13 @@ impl SequenceReport {
         occurrences: &[Occurrence],
         _config: &DetectorConfig,
     ) -> Self {
-        let empty = std::collections::HashSet::new();
         let mut by_sig: BTreeMap<&Signature, Vec<&Occurrence>> = BTreeMap::new();
         for occ in occurrences {
             by_sig.entry(&occ.signature).or_default().push(occ);
         }
         let mut map: BTreeMap<Signature, SeqStats> = BTreeMap::new();
         for (sig, occs) in by_sig {
-            let (frequency, selected) = crate::detect::select_non_overlapping(graph, &occs, &empty);
+            let (frequency, selected) = crate::detect::select_non_overlapping(graph, &occs);
             if frequency > 0.0 {
                 map.insert(
                     sig.clone(),

@@ -103,7 +103,7 @@
 use crate::data::DataSet;
 use crate::error::{Result, SimError};
 use crate::machine::{eval_binop, Execution};
-use crate::profile::Profile;
+use crate::profile::{cell_digest, Profile};
 use crate::trace::{TraceEvent, TraceSink};
 use asip_ir::{ArrayKind, BinOp, InstKind, Operand, Program, Ty, UnOp, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1536,8 +1536,10 @@ impl DecodedProgram {
 
     /// Derive the per-instruction profile from the block entry counters
     /// (every instruction in a block runs once per entry), reproducing
-    /// the reference interpreter's on-demand slot growth exactly.
-    fn derive_profile(&self, block_counts: &[u64], total_ops: u64) -> Profile {
+    /// the reference interpreter's on-demand slot growth exactly, and
+    /// digest the final array contents straight from the arenas.
+    fn derive_profile(&self, state: &RunState, total_ops: u64) -> Profile {
+        let block_counts = &state.block_counts;
         let mut inst_counts = vec![0u64; self.count_slots];
         for (b, &(pstart, pend)) in self.profile_ranges.iter().enumerate() {
             let entries = block_counts[b];
@@ -1558,7 +1560,19 @@ impl DecodedProgram {
             }
         }
         inst_counts.truncate(len);
-        Profile::from_parts(inst_counts, block_counts.to_vec(), total_ops)
+        let digests = self
+            .arrays
+            .iter()
+            .map(|plan| {
+                let span = plan.offset as usize..plan.offset as usize + plan.len;
+                if plan.ty == Ty::Float {
+                    cell_digest(state.floats[span].iter().map(|v| v.to_bits()))
+                } else {
+                    cell_digest(state.ints[span].iter().map(|&v| v as u64))
+                }
+            })
+            .collect();
+        Profile::from_parts(inst_counts, block_counts.to_vec(), total_ops, digests)
     }
 
     /// Reset `state` from the init images, copy `inputs` in, and run
@@ -1599,7 +1613,7 @@ impl DecodedProgram {
                         }
                         Step::Halt(result) => {
                             return Ok(RunOutcome {
-                                profile: self.derive_profile(&state.block_counts, steps),
+                                profile: self.derive_profile(state, steps),
                                 result,
                             })
                         }
@@ -1620,7 +1634,7 @@ impl DecodedProgram {
                         }
                         Step::Halt(result) => {
                             return Ok(RunOutcome {
-                                profile: self.derive_profile(&state.block_counts, steps),
+                                profile: self.derive_profile(state, steps),
                                 result,
                             })
                         }
@@ -1869,7 +1883,7 @@ impl DecodedProgram {
                     }
                     Step::Halt(result) => {
                         return Ok(Execution {
-                            profile: self.derive_profile(&m.block_counts, steps),
+                            profile: self.derive_profile(&m, steps),
                             memory: self.materialize_memory(&m),
                             result,
                         })

@@ -1,16 +1,41 @@
 //! Dynamic execution profiles.
 
-use asip_ir::{BlockId, InstId};
+use asip_ir::{BlockId, InstId, Value};
 
-/// Per-instruction and per-block dynamic execution counts for one run.
+/// Per-instruction and per-block dynamic execution counts for one run,
+/// plus a digest of each array's final contents.
 ///
 /// This is the "3-address code with profile info" artifact flowing from
-/// step 2 to step 3 in the paper's Figure 2.
+/// step 2 to step 3 in the paper's Figure 2. The output digests let the
+/// evaluate stage check a rewritten program's outputs against this run
+/// without simulating the baseline a second time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     inst_counts: Vec<u64>,
     block_counts: Vec<u64>,
     total_ops: u64,
+    memory_digests: Vec<u64>,
+}
+
+/// FNV-1a 64 digest of one array's cells, fed as the 8 little-endian
+/// bytes of each cell's bit pattern (see [`Profile::memory_digests`]).
+pub(crate) fn cell_digest(cells: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for cell in cells {
+        for b in cell.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// [`cell_digest`] of an array of [`Value`]s.
+pub(crate) fn value_digest(cells: &[Value]) -> u64 {
+    cell_digest(cells.iter().map(|v| match *v {
+        Value::Int(i) => i as u64,
+        Value::Float(f) => f.to_bits(),
+    }))
 }
 
 impl Profile {
@@ -20,6 +45,7 @@ impl Profile {
             inst_counts: vec![0; inst_slots],
             block_counts: vec![0; block_slots],
             total_ops: 0,
+            memory_digests: Vec::new(),
         }
     }
 
@@ -61,6 +87,22 @@ impl Profile {
         self.total_ops
     }
 
+    /// One digest per array of the program, in declaration order, of
+    /// the array's contents when the run finished: FNV-1a 64 (the
+    /// store's stable hasher) over the 8 little-endian bytes of each
+    /// cell's bit pattern (`i64` as is, `f64` via [`f64::to_bits`]).
+    ///
+    /// Bit patterns, not values, are compared: `0.0` and `-0.0`
+    /// differ, and two NaNs with the same bits are equal.
+    pub fn memory_digests(&self) -> &[u64] {
+        &self.memory_digests
+    }
+
+    /// Record the final-memory digests of a finished run.
+    pub(crate) fn set_memory_digests(&mut self, digests: Vec<u64>) {
+        self.memory_digests = digests;
+    }
+
     /// Iterate over `(InstId, count)` for instructions that executed.
     pub fn executed_insts(&self) -> impl Iterator<Item = (InstId, u64)> + '_ {
         self.inst_counts
@@ -71,9 +113,10 @@ impl Profile {
     }
 
     /// The raw per-instruction counts, indexed by [`InstId`]. Together
-    /// with [`Profile::block_counts`] and [`Profile::total_ops`] this is
-    /// the profile's complete state, exposed so artifact stores can
-    /// serialize profiles without reflective serialization support.
+    /// with [`Profile::block_counts`], [`Profile::total_ops`] and
+    /// [`Profile::memory_digests`] this is the profile's complete state,
+    /// exposed so artifact stores can serialize profiles without
+    /// reflective serialization support.
     pub fn inst_counts(&self) -> &[u64] {
         &self.inst_counts
     }
@@ -84,13 +127,20 @@ impl Profile {
     }
 
     /// Reassemble a profile from the parts exposed by
-    /// [`Profile::inst_counts`], [`Profile::block_counts`] and
-    /// [`Profile::total_ops`] (the decode half of profile persistence).
-    pub fn from_parts(inst_counts: Vec<u64>, block_counts: Vec<u64>, total_ops: u64) -> Self {
+    /// [`Profile::inst_counts`], [`Profile::block_counts`],
+    /// [`Profile::total_ops`] and [`Profile::memory_digests`] (the
+    /// decode half of profile persistence).
+    pub fn from_parts(
+        inst_counts: Vec<u64>,
+        block_counts: Vec<u64>,
+        total_ops: u64,
+        memory_digests: Vec<u64>,
+    ) -> Self {
         Profile {
             inst_counts,
             block_counts,
             total_ops,
+            memory_digests,
         }
     }
 }
@@ -113,6 +163,21 @@ mod tests {
         assert_eq!(p.total_ops(), 3);
         let executed: Vec<_> = p.executed_insts().collect();
         assert_eq!(executed, vec![(InstId(1), 2), (InstId(3), 1)]);
+    }
+
+    #[test]
+    fn digests_compare_bit_patterns() {
+        let d = |v: f64| value_digest(&[Value::Float(v)]);
+        assert_ne!(d(0.0), d(-0.0), "signed zeros differ");
+        assert_eq!(d(f64::NAN), d(f64::NAN), "identical NaNs match");
+        assert_eq!(
+            value_digest(&[Value::Int(-1), Value::Float(2.5)]),
+            cell_digest([u64::MAX, 2.5f64.to_bits()])
+        );
+        assert_ne!(
+            value_digest(&[Value::Int(1), Value::Int(2)]),
+            value_digest(&[Value::Int(2), Value::Int(1)])
+        );
     }
 
     #[test]

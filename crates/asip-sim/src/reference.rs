@@ -16,7 +16,7 @@
 use crate::data::DataSet;
 use crate::error::{Result, SimError};
 use crate::machine::{eval_binop, eval_unop, Execution, DEFAULT_STEP_LIMIT};
-use crate::profile::Profile;
+use crate::profile::{value_digest, Profile};
 use asip_ir::{ArrayKind, Inst, InstKind, Operand, Program, Reg, Ty, Value};
 
 /// The reference profiling interpreter for one [`Program`].
@@ -131,11 +131,13 @@ impl<'p> ReferenceSimulator<'p> {
                         continue 'outer;
                     }
                     Flow::Halt(v) => {
+                        profile
+                            .set_memory_digests(memory.iter().map(|a| value_digest(a)).collect());
                         return Ok(Execution {
                             profile,
                             memory,
                             result: v,
-                        })
+                        });
                     }
                 }
             }

@@ -3,7 +3,7 @@
 use crate::extension::AsipDesign;
 use crate::rewrite::{RewriteStats, Rewriter};
 use asip_ir::Program;
-use asip_sim::{DataSet, Engine, SimError};
+use asip_sim::{DataSet, Engine, Profile, SimError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ pub struct Evaluation {
 
 /// A design applied to a program and decoded, once: the rewritten
 /// program's [`Engine`] plus the static rewrite stats, ready to be
-/// measured against any number of datasets or baseline engines.
+/// measured against any number of datasets and baseline profiles.
 ///
 /// Rewriting and decoding a candidate design is the expensive half of
 /// an evaluation; design sweeps re-measure the same `(program,
@@ -75,7 +75,7 @@ pub fn prepare(program: &Program, design: &AsipDesign) -> PreparedDesign {
 /// Why a design evaluation failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
-    /// The baseline or the rewritten run failed in the simulator.
+    /// A run failed in the simulator.
     Sim(SimError),
     /// The rewritten program computed different outputs than the
     /// baseline — a semantics bug in the rewriter, not an input error.
@@ -112,37 +112,36 @@ impl From<SimError> for EvalError {
     }
 }
 
-/// Measure a prepared design against the baseline engine on `data`:
-/// both runs go through the pooled engines, and the outputs of the two
-/// runs are compared, so a rewriter bug can never masquerade as a
-/// speedup.
+/// Measure a prepared design against the `baseline` profile on
+/// `data`: only the rewritten program runs (pooled), and its output
+/// digests are compared with the baseline profile's
+/// ([`Profile::memory_digests`]), so a rewriter bug can never
+/// masquerade as a speedup. `baseline` must be the profile of the
+/// original program on the same `data`; its op count is the baseline
+/// cycle count.
 ///
 /// # Errors
 ///
-/// [`EvalError::Sim`] if either run fails, and
+/// [`EvalError::Sim`] if the rewritten run fails, and
 /// [`EvalError::OutputMismatch`] if the rewritten program computes
-/// different outputs.
+/// different outputs (or a different number of arrays).
 pub fn evaluate_prepared(
-    base_engine: &Engine,
+    baseline: &Profile,
     prepared: &PreparedDesign,
     data: &DataSet,
 ) -> Result<Evaluation, EvalError> {
-    let base = base_engine.run(data)?;
-    let after = prepared.engine.run(data)?;
-    if base.memory != after.memory {
-        let first = base
-            .memory
-            .iter()
-            .zip(&after.memory)
-            .take_while(|(b, a)| b == a)
-            .count();
-        let decl = base_engine.program().arrays.get(first);
+    let inputs = prepared.engine.bind(data)?;
+    let after = prepared.engine.run_pooled(&inputs)?.profile;
+    let (want, got) = (baseline.memory_digests(), after.memory_digests());
+    if want != got {
+        let first = want.iter().zip(got).take_while(|(w, g)| w == g).count();
+        let decl = prepared.engine.program().arrays.get(first);
         return Err(EvalError::OutputMismatch {
             array: decl.map_or_else(|| format!("#{first}"), |d| d.name.clone()),
         });
     }
-    let base_cycles = base.profile.total_ops();
-    let asip_cycles = after.profile.total_ops();
+    let base_cycles = baseline.total_ops();
+    let asip_cycles = after.total_ops();
     Ok(Evaluation {
         base_cycles,
         asip_cycles,
@@ -153,19 +152,21 @@ pub fn evaluate_prepared(
 }
 
 /// Rewrite a copy of `program` with `design` and measure both versions
-/// on `data` (one-shot convenience over [`prepare`] +
-/// [`evaluate_prepared`]).
+/// on `data` (one-shot convenience: profile the baseline, then
+/// [`prepare`] + [`evaluate_prepared`]).
 ///
 /// # Errors
 ///
-/// As [`evaluate_prepared`].
+/// [`EvalError::Sim`] if the baseline run fails, otherwise as
+/// [`evaluate_prepared`].
 pub fn evaluate(
     program: &Program,
     design: &AsipDesign,
     data: &DataSet,
 ) -> Result<Evaluation, EvalError> {
     let base = Engine::new(Arc::new(program.clone()));
-    evaluate_prepared(&base, &prepare(program, design), data)
+    let baseline = base.run_pooled(&base.bind(data)?)?.profile;
+    evaluate_prepared(&baseline, &prepare(program, design), data)
 }
 
 #[cfg(test)]
@@ -208,13 +209,22 @@ mod tests {
             b.ret(None);
             b.finish().expect("valid")
         }
-        let base = Engine::new(Arc::new(add_program(1)));
-        let wrong = prepare(&add_program(2), &AsipDesign::default());
         let mut data = DataSet::new();
         data.bind_ints("x", vec![5]);
+        let base = Engine::new(Arc::new(add_program(1)));
+        let baseline = base
+            .run_pooled(&base.bind(&data).expect("binds"))
+            .expect("runs");
+        let wrong = prepare(&add_program(2), &AsipDesign::default());
         assert_eq!(
-            evaluate_prepared(&base, &wrong, &data),
+            evaluate_prepared(&baseline.profile, &wrong, &data),
             Err(EvalError::OutputMismatch { array: "y".into() })
+        );
+        // a profile without digests never passes
+        let digestless = Profile::from_parts(Vec::new(), Vec::new(), 0, Vec::new());
+        assert_eq!(
+            evaluate_prepared(&digestless, &wrong, &data),
+            Err(EvalError::OutputMismatch { array: "x".into() })
         );
     }
 

@@ -36,7 +36,7 @@ use crate::extension::{AsipDesign, IsaExtension};
 use crate::rewrite;
 use crate::select::{AsipDesigner, DesignConstraints};
 use asip_chains::{SequenceReport, Signature};
-use asip_ir::Program;
+use asip_ir::{DefUse, Program};
 use asip_opt::{OptLevel, ScheduleGraph};
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -210,18 +210,36 @@ impl MemoTable {
         cost
     }
 
-    /// Whether `sig` statically matches a fusable run in any program.
-    fn matches(&mut self, sig: &Signature, programs: &[&Program]) -> bool {
-        if let Some(&m) = self.matchable.get(sig) {
-            self.hits += 1;
-            return m;
+    /// Learn, for every fusable signature of `report` not yet memoized,
+    /// whether it statically matches a fusable run in any program. The
+    /// unknown signatures are probed together, program by program: each
+    /// program's def-use index is built once, only while one of them is
+    /// still unmatched, and dropped before the next program's.
+    fn learn_matchable(&mut self, report: &SequenceReport, programs: &[&Program]) {
+        let mut unknown: Vec<(&Signature, bool)> = Vec::new();
+        for (sig, _) in report.entries() {
+            if !rewrite::is_fusable_signature(sig) {
+                continue;
+            }
+            if self.matchable.contains_key(sig) {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                unknown.push((sig, false));
+            }
         }
-        self.misses += 1;
-        let m = programs
-            .iter()
-            .any(|program| rewrite::Rewriter::count_static_matches(program, sig) > 0);
-        self.matchable.insert(sig.clone(), m);
-        m
+        for program in programs {
+            if unknown.iter().all(|&(_, matched)| matched) {
+                break;
+            }
+            let du = DefUse::new(program);
+            for (sig, matched) in unknown.iter_mut().filter(|(_, matched)| !*matched) {
+                *matched = rewrite::Rewriter::count_static_matches(program, &du, sig) > 0;
+            }
+        }
+        for (sig, matched) in unknown {
+            self.matchable.insert(sig.clone(), matched);
+        }
     }
 
     fn counters(&self) -> (usize, usize) {
@@ -229,20 +247,23 @@ impl MemoTable {
     }
 }
 
-/// `retain_matchable` (see [`select`](crate::select)) through the memo
-/// table: drop fusable candidates that never statically match any
-/// program.
-fn retain_matchable_memo(
+/// Drop fusable candidates that never statically match any of
+/// `programs` — the rewriter could not instantiate them, so spending
+/// area on them is pure waste. Unfusable signatures pass through (the
+/// selection core filters them anyway). Verdicts are memoized in
+/// `memo` across calls.
+pub(crate) fn retain_matchable(
     report: &SequenceReport,
     programs: &[&Program],
     memo: &mut MemoTable,
 ) -> SequenceReport {
+    memo.learn_matchable(report, programs);
     SequenceReport::from_parts(
         report.name.clone(),
         report
             .entries()
             .iter()
-            .filter(|(sig, _)| !rewrite::is_fusable_signature(sig) || memo.matches(sig, programs))
+            .filter(|(sig, _)| !rewrite::is_fusable_signature(sig) || memo.matchable[sig])
             .cloned()
             .collect(),
         report.total_profile_ops,
@@ -641,7 +662,7 @@ impl AsipDesigner {
             let programs: Vec<&Program> = fb.suite.iter().map(|(_, program)| *program).collect();
             reports.insert(
                 level.number(),
-                retain_matchable_memo(&combined, &programs, &mut memo),
+                retain_matchable(&combined, &programs, &mut memo),
             );
         }
 

@@ -78,66 +78,67 @@ impl Rewriter {
 
     /// Rewrite a program in place; longest extensions are tried first at
     /// each position. Returns fusion statistics.
+    ///
+    /// One forward pass over each block, against one def-use index of
+    /// the input program, reaches the fixpoint of rescanning after
+    /// every fusion: a fused run's intermediates had exactly one def
+    /// and one use, both inside the run, so fusing changes no other
+    /// position's match, and the chained instruction (not a binary op)
+    /// can never begin or join one.
     pub fn apply(&self, program: &mut Program) -> RewriteStats {
         let mut stats = RewriteStats::default();
         // longest first so a MAC3 wins over a MAC at the same site
         let mut ext_order: Vec<usize> = (0..self.design.extensions.len()).collect();
         ext_order.sort_by_key(|&i| std::cmp::Reverse(self.design.extensions[i].signature.len()));
 
-        loop {
-            let du = DefUse::new(program);
-            let Some((block, start, ext_idx)) = self.find_match(program, &du, &ext_order) else {
-                return stats;
-            };
-            let ext = &self.design.extensions[ext_idx];
-            let k = ext.signature.len();
-            let fused = self.fuse_run(program, block, start, k, ext.id);
-            let insts = &mut program.blocks[block].insts;
-            insts.splice(start..start + k, [fused]);
-            stats.fused_chains += 1;
-            stats.removed_ops += k - 1;
+        let du = DefUse::new(program);
+        for block in 0..program.blocks.len() {
+            let mut start = 0;
+            while start < program.blocks[block].insts.len() {
+                let hit = ext_order
+                    .iter()
+                    .map(|&ei| &self.design.extensions[ei])
+                    .find(|ext| {
+                        Self::matches_at(
+                            program,
+                            &du,
+                            &program.blocks[block],
+                            start,
+                            &ext.signature,
+                        )
+                    });
+                if let Some(ext) = hit {
+                    let k = ext.signature.len();
+                    let fused = self.fuse_run(program, block, start, k, ext.id);
+                    program.blocks[block]
+                        .insts
+                        .splice(start..start + k, [fused]);
+                    stats.fused_chains += 1;
+                    stats.removed_ops += k - 1;
+                }
+                start += 1;
+            }
         }
+        stats
     }
 
     /// Count the fusable runs of `sig` present in `program` without
     /// rewriting (used by the designer to avoid spending area on
-    /// extensions that would never fire).
-    pub fn count_static_matches(program: &Program, sig: &Signature) -> usize {
-        let du = DefUse::new(program);
-        let probe = Rewriter::new(AsipDesign::default());
-        let mut n = 0;
-        for block in &program.blocks {
-            for start in 0..block.insts.len() {
-                if probe.matches_at(program, &du, block, start, sig) {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Find the first fusable run matching any extension.
-    fn find_match(
-        &self,
-        program: &Program,
-        du: &DefUse,
-        ext_order: &[usize],
-    ) -> Option<(usize, usize, usize)> {
-        for (bi, block) in program.blocks.iter().enumerate() {
-            for start in 0..block.insts.len() {
-                for &ei in ext_order {
-                    let ext = &self.design.extensions[ei];
-                    if self.matches_at(program, du, block, start, &ext.signature) {
-                        return Some((bi, start, ei));
-                    }
-                }
-            }
-        }
-        None
+    /// extensions that would never fire). `du` must be the def-use
+    /// index of `program`, built once and shared across signatures.
+    pub fn count_static_matches(program: &Program, du: &DefUse, sig: &Signature) -> usize {
+        program
+            .blocks
+            .iter()
+            .map(|block| {
+                (0..block.insts.len())
+                    .filter(|&start| Self::matches_at(program, du, block, start, sig))
+                    .count()
+            })
+            .sum()
     }
 
     fn matches_at(
-        &self,
         program: &Program,
         du: &DefUse,
         block: &asip_ir::Block,

@@ -3,7 +3,6 @@
 
 use crate::extension::AsipDesign;
 use crate::frontier;
-use crate::rewrite;
 use asip_chains::{CoverageAnalyzer, DetectorConfig, SeqStats, SequenceReport};
 use asip_ir::Program;
 use asip_opt::{OptConfig, OptLevel, Optimizer, ScheduleGraph};
@@ -124,7 +123,11 @@ impl AsipDesigner {
     /// instantiate in this code.
     pub fn design_from_schedule(&self, graph: &ScheduleGraph, program: &Program) -> AsipDesign {
         let report = self.coverage_report(graph);
-        self.design_from_report(&retain_matchable(&report, &[program]))
+        self.design_from_report(&frontier::retain_matchable(
+            &report,
+            &[program],
+            &mut frontier::MemoTable::default(),
+        ))
     }
 
     /// Select one extension set for a whole suite from precomputed
@@ -145,7 +148,11 @@ impl AsipDesigner {
             .collect();
         let combined = asip_chains::combine(&reports);
         let programs: Vec<&Program> = suite.iter().map(|(_, program)| *program).collect();
-        self.design_from_report(&retain_matchable(&combined, &programs))
+        self.design_from_report(&frontier::retain_matchable(
+            &combined,
+            &programs,
+            &mut frontier::MemoTable::default(),
+        ))
     }
 
     /// Convenience wrapper: run the full feedback loop for one program —
@@ -217,28 +224,6 @@ impl AsipDesigner {
             _ => frontier::build_design(&candidates, &greedy),
         }
     }
-}
-
-/// Drop fusable candidates that never statically match any of
-/// `programs` — the rewriter could not instantiate them, so spending
-/// area on them is pure waste. Unfusable signatures pass through (the
-/// selection core filters them anyway).
-fn retain_matchable(report: &SequenceReport, programs: &[&Program]) -> SequenceReport {
-    SequenceReport::from_parts(
-        report.name.clone(),
-        report
-            .entries()
-            .iter()
-            .filter(|(sig, _)| {
-                !rewrite::is_fusable_signature(sig)
-                    || programs
-                        .iter()
-                        .any(|program| rewrite::Rewriter::count_static_matches(program, sig) > 0)
-            })
-            .cloned()
-            .collect(),
-        report.total_profile_ops,
-    )
 }
 
 #[cfg(test)]

@@ -1048,12 +1048,19 @@ impl ArtifactCodec for Profile {
         enc.put_elems(self.inst_counts());
         enc.put_elems(self.block_counts());
         enc.put_u64(self.total_ops());
+        enc.put_elems(self.memory_digests());
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let inst_counts = Vec::<u64>::decode(dec)?;
         let block_counts = Vec::<u64>::decode(dec)?;
         let total_ops = dec.u64()?;
-        Ok(Profile::from_parts(inst_counts, block_counts, total_ops))
+        let memory_digests = Vec::<u64>::decode(dec)?;
+        Ok(Profile::from_parts(
+            inst_counts,
+            block_counts,
+            total_ops,
+            memory_digests,
+        ))
     }
 }
 

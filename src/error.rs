@@ -2,8 +2,9 @@
 //!
 //! Every stage of the exploration pipeline has its own error domain —
 //! the front end ([`FrontendError`]), IR validation ([`IrError`]), the
-//! profiling simulator ([`SimError`]) and the design-evaluation rerun
-//! (also simulator errors, but in a different stage of Figure 1). Before
+//! profiling simulator ([`SimError`]) and the design evaluation's run
+//! of the rewritten program (also simulator errors, but in a different
+//! stage of Figure 1). Before
 //! the session API, callers threaded `Box<dyn Error>` through every
 //! driver loop; [`ExplorerError`] replaces that with one inspectable
 //! enum and `From` conversions from each stage error.
@@ -187,8 +188,8 @@ pub enum ExplorerError {
     Ir(IrError),
     /// The profiling simulation failed (paper step 2).
     Sim(SimError),
-    /// The design-evaluation rerun failed or the rewritten program
-    /// computed different outputs (paper Figure 1: measuring the
+    /// The rewritten program's evaluation run failed or it computed
+    /// different outputs than the profiled baseline (paper Figure 1: measuring the
     /// rewritten program on the proposed ASIP).
     Eval(EvalError),
     /// A suite-level stage was asked to design for zero benchmarks.

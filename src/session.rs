@@ -968,11 +968,12 @@ impl Explorer {
 
     /// The session's decoded simulator [`Engine`] for a benchmark:
     /// the compiled program lowered once into the pre-decoded execution
-    /// form (see [`asip_sim::decode`]) and cached, so every simulation
-    /// the session performs for this program — the profile stage, the
-    /// evaluate stage's baseline re-run, suite sweeps — shares one
-    /// decode. The cache is dropped by [`Explorer::reset`] and bounded
-    /// by [`Explorer::with_cache_capacity`] like the stage caches.
+    /// form (see [`asip_sim::decode`]) and cached, so every run of the
+    /// original program — the profile stage, dataset sweeps — shares
+    /// one decode. (The evaluate stages never run it: they measure the
+    /// rewritten program against the profile artifact.) The cache is
+    /// dropped by [`Explorer::reset`] and bounded by
+    /// [`Explorer::with_cache_capacity`] like the stage caches.
     ///
     /// # Errors
     ///
@@ -1175,12 +1176,16 @@ impl Explorer {
     }
 
     /// Evaluate stage: rewrite the program with the selected design and
-    /// measure the cycle-count effect on the profiling simulator.
+    /// measure the cycle-count effect on the profiling simulator. Only
+    /// the rewritten program runs: the baseline's cycles and output
+    /// digests come from the profile stage's artifact (a memo hit once
+    /// the design stage ran), which the rewritten run's outputs must
+    /// match.
     ///
     /// # Errors
     ///
-    /// Propagates earlier-stage errors; simulator failures during the
-    /// measurement rerun surface as [`ExplorerError::Eval`].
+    /// Propagates earlier-stage errors; a failed rewritten run or an
+    /// output mismatch surfaces as [`ExplorerError::Eval`].
     pub fn evaluate(&self, name: &str) -> Result<Evaluated, ExplorerError> {
         self.evaluate_with(name, self.constraints, self.detector)
     }
@@ -1210,7 +1215,7 @@ impl Explorer {
         let evaluation = self.cached(Stage::Evaluate, &self.caches.evaluate, key, disk, || {
             let data = compiled.benchmark.dataset_with_seed(self.seed);
             let prepared = self.prepared(name, &designed.design)?;
-            asip_synth::evaluate_prepared(&*self.engine(name)?, &prepared, &data)
+            asip_synth::evaluate_prepared(&self.profile(name)?.profile, &prepared, &data)
                 .map_err(ExplorerError::Eval)
         })?;
         Ok(Evaluated {
@@ -1334,24 +1339,28 @@ impl Explorer {
             disk,
             || {
                 // each member measurement starts from its compiled
-                // program: stage the not-yet-memoized reads in parallel
-                let keys = designed
-                    .benchmarks
-                    .iter()
-                    .filter(|name| !self.caches.compile.contains_key(*name))
-                    .filter_map(|name| {
-                        let bench = self.registry.find(name)?;
-                        self.key_compile(bench).map(|k| (Stage::Compile, k))
-                    })
-                    .collect();
+                // program and its baseline profile: stage the
+                // not-yet-memoized reads in parallel
+                let mut keys = Vec::new();
+                for name in &designed.benchmarks {
+                    let Some(bench) = self.registry.find(name) else {
+                        continue;
+                    };
+                    if !self.caches.compile.contains_key(name) {
+                        keys.extend(self.key_compile(bench).map(|k| (Stage::Compile, k)));
+                    }
+                    if !self.caches.profile.contains_key(&(name.clone(), self.seed)) {
+                        keys.extend(self.key_profile(bench).map(|k| (Stage::Profile, k)));
+                    }
+                }
                 self.prefetch_keys(keys);
                 self.map_slice(&designed.benchmarks, |name| {
                     let compiled = self.compile(name)?;
                     let data = compiled.benchmark.dataset_with_seed(self.seed);
                     let prepared = self.prepared(name, &design)?;
-                    let evaluation =
-                        asip_synth::evaluate_prepared(&*self.engine(name)?, &prepared, &data)
-                            .map_err(ExplorerError::Eval)?;
+                    let baseline = self.profile(name)?.profile;
+                    let evaluation = asip_synth::evaluate_prepared(&baseline, &prepared, &data)
+                        .map_err(ExplorerError::Eval)?;
                     Ok((name.clone(), evaluation))
                 })
             },
@@ -2050,6 +2059,49 @@ mod tests {
         let after = session.cache_stats().run_state;
         assert_eq!(after.creates, warm.creates, "warm sweeps allocate nothing");
         assert_eq!(after.checkouts, warm.checkouts + 8);
+    }
+
+    #[test]
+    fn each_evaluate_miss_runs_only_the_rewritten_program() {
+        // the baseline's cycles and output digests come from the
+        // profile artifact, so an evaluate miss checks out exactly one
+        // run state (the rewritten program's): no baseline re-run
+        let session = Explorer::new().with_levels([OptLevel::Pipelined]);
+        let wide = DesignConstraints {
+            area_budget: 20_000.0,
+            max_extensions: 8,
+            ..DesignConstraints::default()
+        };
+        for name in ["sewha", "fir", "iir"] {
+            for constraints in [DesignConstraints::default(), wide] {
+                session
+                    .design_with(name, constraints, session.detector())
+                    .expect("designs");
+                let before = session.cache_stats();
+                session
+                    .evaluate_with(name, constraints, session.detector())
+                    .expect("evaluates");
+                let after = session.cache_stats();
+                assert_eq!(after.evaluate.misses, before.evaluate.misses + 1);
+                assert_eq!(after.profile.misses, before.profile.misses);
+                assert_eq!(
+                    after.run_state.checkouts,
+                    before.run_state.checkouts + 1,
+                    "{name}"
+                );
+            }
+        }
+        // the suite stage: one run per member
+        let members = ["sewha", "fir", "iir"];
+        session
+            .design_suite_with(&members, wide, session.detector())
+            .expect("designs the suite");
+        let before = session.cache_stats().run_state;
+        session
+            .evaluate_suite_with(&members, wide, session.detector())
+            .expect("evaluates the suite");
+        let after = session.cache_stats().run_state;
+        assert_eq!(after.checkouts, before.checkouts + members.len() as u64);
     }
 
     #[test]

@@ -116,7 +116,10 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// ([`asip_benchmarks::Suite`]) is folded into every benchmark-keyed
 /// hash, so generated-corpus artifacts can never collide with Table-1
 /// names.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4 — the profile encoding gained `memory_digests` (per-array digests
+/// of the run's final memory), which the evaluate stage compares the
+/// rewritten program's outputs against.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 8] = *b"ASIPART\n";

@@ -11,7 +11,7 @@
 //! builder.
 
 use asip_explorer::gen::{generate, GenConfig, GenTy, GeneratedProgram, OpMix};
-use asip_explorer::ir::{parse_program, Program};
+use asip_explorer::ir::{parse_program, DefUse, Program};
 use asip_explorer::opt::{OptLevel, Optimizer};
 use asip_explorer::sim::{DataGen, DataSet, Engine, ReferenceSimulator, Simulator};
 use asip_explorer::synth::rewrite::is_fusable_signature;
@@ -230,10 +230,11 @@ proptest! {
             "{} extensions exceed slot budget {}", design.extensions.len(), constraints.max_extensions);
         prop_assert!(design.extension_area <= constraints.area_budget + 1e-9,
             "area {} exceeds budget {}", design.extension_area, constraints.area_budget);
+        let du = DefUse::new(&p);
         for ext in &design.extensions {
             prop_assert!(is_fusable_signature(&ext.signature),
                 "selected unfusable signature {:?}", ext.signature);
-            prop_assert!(Rewriter::count_static_matches(&p, &ext.signature) > 0,
+            prop_assert!(Rewriter::count_static_matches(&p, &du, &ext.signature) > 0,
                 "selected signature {:?} never statically matches", ext.signature);
         }
 
@@ -247,5 +248,31 @@ proptest! {
         let after = ReferenceSimulator::new(&rewritten).run(&data).expect("runs");
         prop_assert_eq!(original.memory, after.memory);
         prop_assert_eq!(original.result, after.result);
+    }
+
+    #[test]
+    fn one_rewrite_pass_reaches_the_fixpoint(
+        seed in any::<u64>(),
+        config in gen_config(),
+        level_sel in 0u8..3,
+    ) {
+        // the rewriter scans each block once; rescanning its output with
+        // the same design (as a loop that restarts after every fusion
+        // would) must find nothing left to fuse
+        let prog = generate(seed, &config);
+        let p = compile(&prog);
+        let profile = Simulator::new(&p).run(&dataset(&prog)).expect("runs").profile;
+        let constraints = DesignConstraints {
+            area_budget: 20_000.0,
+            max_extensions: 8,
+            opt_level: OptLevel::all()[level_sel as usize],
+            ..DesignConstraints::default()
+        };
+        let rewriter = Rewriter::new(AsipDesigner::new(constraints).design_for(&p, &profile));
+        let mut once = p.clone();
+        rewriter.apply(&mut once);
+        let mut twice = once.clone();
+        prop_assert_eq!(rewriter.apply(&mut twice).fused_chains, 0);
+        prop_assert_eq!(once, twice);
     }
 }

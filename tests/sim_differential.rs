@@ -4,6 +4,7 @@
 //! profiles, memories, results and trace streams to the retained
 //! reference interpreter (`asip_sim::reference`).
 
+use asip_explorer::ir::Value;
 use asip_explorer::sim::{ClassMix, Engine, ReferenceSimulator, RingTrace, SimError};
 use asip_explorer::synth::{DesignConstraints, Rewriter};
 use asip_explorer::{opt::OptLevel, Explorer};
@@ -175,6 +176,50 @@ fn pooled_engine_reuse_is_byte_identical_to_fresh_engines_on_the_full_corpus() {
     }
 }
 
+/// FNV-1a 64 over each cell's little-endian bit pattern: the documented
+/// `Profile::memory_digests` algorithm, restated independently.
+fn expected_digest(cells: &[Value]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for cell in cells {
+        let bits = match *cell {
+            Value::Int(i) => i as u64,
+            Value::Float(f) => f.to_bits(),
+        };
+        for b in bits.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn output_digests_agree_with_the_reference_on_the_full_corpus() {
+    // the profile-only pooled run digests its outputs straight from the
+    // arenas; on every corpus benchmark (12 Table-1 + 24 generated) the
+    // digests must equal the reference's and those of the reference's
+    // final memory, one per declared array
+    for bench in asip_explorer::benchmarks::full_registry().iter() {
+        let program = bench.compile().expect("compiles");
+        let data = bench.dataset();
+        let reference = ReferenceSimulator::new(&program)
+            .run(&data)
+            .expect("reference runs");
+        let engine = Engine::new(Arc::new(program));
+        let pooled = engine
+            .run_pooled(&engine.bind(&data).expect("binds"))
+            .expect("engine runs");
+        let want: Vec<u64> = reference
+            .memory
+            .iter()
+            .map(|a| expected_digest(a))
+            .collect();
+        assert_eq!(want.len(), engine.program().arrays.len(), "{}", bench.name);
+        assert_eq!(reference.profile.memory_digests(), want, "{}", bench.name);
+        assert_eq!(pooled.profile.memory_digests(), want, "{}", bench.name);
+    }
+}
+
 #[test]
 fn session_engines_decode_once_and_reset_drops_them() {
     let session = Explorer::new().with_levels([OptLevel::Pipelined]);
@@ -187,7 +232,8 @@ fn session_engines_decode_once_and_reset_drops_them() {
     // the engine wraps the same compiled program the session caches
     let compiled = session.compile("sewha").expect("cached").program;
     assert!(Arc::ptr_eq(first.program(), &compiled));
-    // profile and evaluate ride on it (no extra compile misses)
+    // profile rides on it (no extra compile misses); evaluate reads the
+    // profile instead of re-running it
     session.profile("sewha").expect("profiles");
     session.evaluate("sewha").expect("evaluates");
     assert_eq!(session.cache_stats().compile.misses, 1);
