@@ -6,10 +6,9 @@
 //! found. This process continued iteratively until no sequences of any
 //! significant percentage were left."
 
-use crate::detect::{DetectorConfig, Occurrence, OpRef, SequenceDetector};
+use crate::detect::{DetectorConfig, Occurrence, OpSet, SequenceDetector};
 use crate::signature::Signature;
 use asip_opt::ScheduleGraph;
-use std::collections::HashSet;
 
 /// One selected sequence in a coverage study.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,14 +88,14 @@ impl CoverageAnalyzer {
     /// full list filtered, in the same order.
     pub fn analyze(&self, graph: &ScheduleGraph) -> CoverageReport {
         let mut occurrences = SequenceDetector::new(self.config).occurrences(graph);
-        let mut consumed: HashSet<OpRef> = HashSet::new();
+        let mut consumed = OpSet::new(graph);
         let mut entries: Vec<CoverageEntry> = Vec::new();
 
         for _round in 0..self.max_sequences {
             // every occurrence of an already-selected signature either
             // was selected or overlaps one that was, so this also drops
             // the earlier rounds' signatures
-            occurrences.retain(|o| !o.ops.iter().any(|r| consumed.contains(r)));
+            occurrences.retain(|o| !consumed.contains_any(&o.ops));
             let Some((signature, freq, selected)) = best_signature(graph, &occurrences) else {
                 break;
             };
@@ -105,7 +104,7 @@ impl CoverageAnalyzer {
             }
             let occurrences = selected.len();
             for occ in &selected {
-                consumed.extend(occ.ops.iter().copied());
+                consumed.insert_all(&occ.ops);
             }
             entries.push(CoverageEntry {
                 signature,
@@ -123,17 +122,18 @@ impl CoverageAnalyzer {
 /// Pick the signature whose non-overlapping occurrence set covers the
 /// most dynamic frequency; returns the signature, its coverage, and the
 /// selected (mutually disjoint) occurrences.
-fn best_signature(
+fn best_signature<'a>(
     graph: &ScheduleGraph,
-    occurrences: &[Occurrence],
-) -> Option<(Signature, f64, Vec<Occurrence>)> {
+    occurrences: &'a [Occurrence],
+) -> Option<(Signature, f64, Vec<&'a Occurrence>)> {
     use std::collections::BTreeMap;
     let mut by_sig: BTreeMap<&Signature, Vec<&Occurrence>> = BTreeMap::new();
     for o in occurrences {
         by_sig.entry(&o.signature).or_default().push(o);
     }
-    // borrow while comparing candidates; clone the winner exactly once
-    let mut best: Option<(&Signature, f64, Vec<Occurrence>)> = None;
+    // borrow while comparing candidates; clone the winner's signature
+    // exactly once
+    let mut best: Option<(&Signature, f64, Vec<&Occurrence>)> = None;
     for (sig, occs) in by_sig {
         let (freq, selected) = crate::detect::select_non_overlapping(graph, &occs);
         let better = match &best {
@@ -276,7 +276,7 @@ mod tests {
             .with_floor(0.5)
             .analyze(&g);
         // distinct signatures per round
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for e in &report.entries {
             assert!(
                 seen.insert(e.signature.clone()),

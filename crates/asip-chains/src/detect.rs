@@ -2,7 +2,6 @@
 
 use crate::signature::Signature;
 use asip_opt::{NodeId, ScheduleGraph};
-use std::collections::HashSet;
 
 /// A reference to one scheduled op instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,7 +68,8 @@ pub fn default_chainable(class: asip_ir::OpClass) -> bool {
 /// Detector parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
-    /// Minimum chain length reported (paper: 2).
+    /// Minimum chain length reported (paper: 2). A chain has at least
+    /// two ops, so values below 2 report exactly what 2 reports.
     pub min_len: usize,
     /// Maximum chain length searched (paper: 5).
     pub max_len: usize,
@@ -129,33 +129,148 @@ impl DetectorConfig {
     }
 }
 
+/// A dense numbering of a graph's ops, `0..len()` in node order: node
+/// `n`'s op `i` is number `first[n] + i`, where `first` is a prefix sum
+/// of the op counts over `graph.nodes`. [`OpSet`] and the detector's
+/// successor table index by it.
+struct FlatOps {
+    first: Vec<usize>,
+}
+
+impl FlatOps {
+    fn new(graph: &ScheduleGraph) -> Self {
+        let mut first = Vec::with_capacity(graph.nodes.len() + 1);
+        let mut total = 0;
+        first.push(0);
+        for node in &graph.nodes {
+            total += node.ops.len();
+            first.push(total);
+        }
+        FlatOps { first }
+    }
+
+    /// The graph's op count.
+    fn len(&self) -> usize {
+        self.first[self.first.len() - 1]
+    }
+
+    fn of(&self, r: OpRef) -> usize {
+        self.first[r.node.index()] + r.index
+    }
+}
+
+/// A set of a graph's ops, stored as a bitmap over [`FlatOps`].
+pub(crate) struct OpSet {
+    flat: FlatOps,
+    bits: Vec<u64>,
+}
+
+impl OpSet {
+    /// An empty set over `graph`'s ops.
+    pub(crate) fn new(graph: &ScheduleGraph) -> Self {
+        let flat = FlatOps::new(graph);
+        let bits = vec![0; flat.len().div_ceil(64)];
+        OpSet { flat, bits }
+    }
+
+    /// True if any of `ops` is in the set.
+    pub(crate) fn contains_any(&self, ops: &[OpRef]) -> bool {
+        ops.iter().any(|&r| {
+            let k = self.flat.of(r);
+            self.bits[k / 64] & (1 << (k % 64)) != 0
+        })
+    }
+
+    /// Add every op of `ops`.
+    pub(crate) fn insert_all(&mut self, ops: &[OpRef]) {
+        for &r in ops {
+            let k = self.flat.of(r);
+            self.bits[k / 64] |= 1 << (k % 64);
+        }
+    }
+}
+
 /// Select a maximal-weight set of mutually non-overlapping occurrences
 /// (heaviest first); returns the selected occurrences and their total
 /// frequency. Used both for report aggregation (a sequence's frequency
 /// never counts one op twice) and by the coverage analyzer.
-pub fn select_non_overlapping(
+pub fn select_non_overlapping<'a>(
     graph: &ScheduleGraph,
-    occurrences: &[&Occurrence],
-) -> (f64, Vec<Occurrence>) {
-    let mut order: Vec<&&Occurrence> = occurrences.iter().collect();
+    occurrences: &[&'a Occurrence],
+) -> (f64, Vec<&'a Occurrence>) {
+    let mut order = occurrences.to_vec();
     order.sort_by(|a, b| {
         b.min_weight
             .partial_cmp(&a.min_weight)
             .expect("weights finite")
             .then_with(|| a.ops.cmp(&b.ops))
     });
-    let mut taken: HashSet<OpRef> = HashSet::new();
+    let mut taken = OpSet::new(graph);
     let mut freq = 0.0;
-    let mut selected = Vec::new();
-    for o in order {
-        if o.ops.iter().any(|r| taken.contains(r)) {
-            continue;
+    order.retain(|o| {
+        if taken.contains_any(&o.ops) {
+            return false;
         }
-        taken.extend(o.ops.iter().copied());
+        taken.insert_all(&o.ops);
         freq += o.frequency(graph.total_profile_ops);
-        selected.push((**o).clone());
+        true
+    });
+    (freq, order)
+}
+
+/// A chainable flow successor, as the detector's successor table holds
+/// it.
+struct Succ {
+    op: OpRef,
+    class: asip_ir::OpClass,
+    weight: f64,
+}
+
+/// Every chainable op's chainable flow successors, in
+/// [`SequenceDetector::flow_succs`] order, computed once per op and read
+/// by every partial chain that ends at the op. The op numbered `k` in
+/// [`FlatOps`] has its successors at `list[start[k]..start[k + 1]]`.
+struct SuccTable {
+    flat: FlatOps,
+    start: Vec<usize>,
+    list: Vec<Succ>,
+}
+
+impl SuccTable {
+    fn new(detector: &SequenceDetector, graph: &ScheduleGraph) -> Self {
+        let flat = FlatOps::new(graph);
+        let mut start = Vec::with_capacity(flat.len() + 1);
+        let mut list = Vec::new();
+        start.push(0);
+        for (ni, node) in graph.nodes.iter().enumerate() {
+            for (oi, op) in node.ops.iter().enumerate() {
+                if (detector.config.chainable)(graph.class_of(op)) {
+                    let from = OpRef {
+                        node: NodeId(ni as u32),
+                        index: oi,
+                    };
+                    for succ in detector.flow_succs(graph, from) {
+                        let op = &graph.node(succ.node).ops[succ.index];
+                        let class = graph.class_of(op);
+                        if (detector.config.chainable)(class) {
+                            list.push(Succ {
+                                op: succ,
+                                class,
+                                weight: op.weight,
+                            });
+                        }
+                    }
+                }
+                start.push(list.len());
+            }
+        }
+        SuccTable { flat, start, list }
     }
-    (freq, selected)
+
+    fn succs(&self, from: OpRef) -> &[Succ] {
+        let k = self.flat.of(from);
+        &self.list[self.start[k]..self.start[k + 1]]
+    }
 }
 
 /// The sequence detection analyzer.
@@ -189,19 +304,24 @@ impl SequenceDetector {
 
     /// Enumerate every chain occurrence (unaggregated).
     pub fn occurrences(&self, graph: &ScheduleGraph) -> Vec<Occurrence> {
+        let table = SuccTable::new(self, graph);
         let mut out = Vec::new();
+        let mut chain = Vec::with_capacity(self.config.max_len);
+        let mut classes = Vec::with_capacity(self.config.max_len);
         for (ni, node) in graph.nodes.iter().enumerate() {
             for (oi, op) in node.ops.iter().enumerate() {
-                if !(self.config.chainable)(graph.class_of(op)) {
+                let class = graph.class_of(op);
+                if !(self.config.chainable)(class) {
                     continue;
                 }
-                let head = OpRef {
+                chain.push(OpRef {
                     node: NodeId(ni as u32),
                     index: oi,
-                };
-                let mut chain = vec![head];
-                let mut classes = vec![graph.class_of(op)];
-                self.extend(graph, &mut chain, &mut classes, op.weight, &mut out);
+                });
+                classes.push(class);
+                self.extend(graph, &table, &mut chain, &mut classes, op.weight, &mut out);
+                chain.clear();
+                classes.clear();
             }
         }
         out
@@ -210,12 +330,13 @@ impl SequenceDetector {
     fn extend(
         &self,
         graph: &ScheduleGraph,
+        table: &SuccTable,
         chain: &mut Vec<OpRef>,
         classes: &mut Vec<asip_ir::OpClass>,
         min_weight: f64,
         out: &mut Vec<Occurrence>,
     ) {
-        if chain.len() >= self.config.min_len {
+        if chain.len() >= self.config.min_len.max(2) {
             out.push(Occurrence {
                 ops: chain.clone(),
                 signature: Signature::new(classes.clone()),
@@ -235,18 +356,20 @@ impl SequenceDetector {
             }
         }
         let last = *chain.last().expect("chain non-empty");
-        for succ in self.flow_succs(graph, last) {
-            if chain.contains(&succ) {
+        for succ in table.succs(last) {
+            if chain.contains(&succ.op) {
                 continue;
             }
-            let op = &graph.node(succ.node).ops[succ.index];
-            let class = graph.class_of(op);
-            if !(self.config.chainable)(class) {
-                continue;
-            }
-            chain.push(succ);
-            classes.push(class);
-            self.extend(graph, chain, classes, min_weight.min(op.weight), out);
+            chain.push(succ.op);
+            classes.push(succ.class);
+            self.extend(
+                graph,
+                table,
+                chain,
+                classes,
+                min_weight.min(succ.weight),
+                out,
+            );
             chain.pop();
             classes.pop();
         }
@@ -267,17 +390,18 @@ impl SequenceDetector {
         let Some(d) = src.inst.dst() else {
             return Vec::new();
         };
+        // consumers in first-found order; a consumer reached twice is
+        // listed once (the lists are short, so a scan beats hashing)
         let mut found: Vec<OpRef> = Vec::new();
-        let mut seen: HashSet<OpRef> = HashSet::new();
 
         // same node: same issue cycle, direct forwarding
         for (i, op) in graph.node(from.node).ops.iter().enumerate() {
-            if i != from.index && op.inst.uses().contains(&d) {
+            if i != from.index && op.inst.uses().any(|u| u == d) {
                 let r = OpRef {
                     node: from.node,
                     index: i,
                 };
-                if seen.insert(r) {
+                if !found.contains(&r) {
                     found.push(r);
                 }
             }
@@ -291,12 +415,12 @@ impl SequenceDetector {
             let mut n = from.node.index() + 1;
             while n < graph.nodes.len() && graph.nodes[n].block == block {
                 for (i, op) in graph.nodes[n].ops.iter().enumerate() {
-                    if op.inst.uses().contains(&d) {
+                    if op.inst.uses().any(|u| u == d) {
                         let r = OpRef {
                             node: NodeId(n as u32),
                             index: i,
                         };
-                        if seen.insert(r) {
+                        if !found.contains(&r) {
                             found.push(r);
                         }
                     }
@@ -319,9 +443,9 @@ impl SequenceDetector {
             for &s in &graph.node(n).succs {
                 // collect consumers in s
                 for (i, op) in graph.node(s).ops.iter().enumerate() {
-                    if (s != from.node || i != from.index) && op.inst.uses().contains(&d) {
+                    if (s != from.node || i != from.index) && op.inst.uses().any(|u| u == d) {
                         let r = OpRef { node: s, index: i };
-                        if seen.insert(r) {
+                        if !found.contains(&r) {
                             found.push(r);
                         }
                     }
@@ -645,5 +769,27 @@ mod tests {
         let occ = det.occurrences(&graph);
         assert!(!occ.is_empty());
         assert!(occ.iter().all(|o| o.ops.len() == 3));
+    }
+
+    #[test]
+    fn lengths_below_two_report_no_single_op_chains() {
+        let (graph, _) = analyze_src(MAC_SRC, OptLevel::Pipelined);
+        for config in [
+            DetectorConfig::default().with_length(1),
+            DetectorConfig::default().with_length(0),
+        ] {
+            let det = SequenceDetector::new(config);
+            assert!(det.occurrences(&graph).is_empty());
+            assert!(det.analyze(&graph).entries().is_empty());
+        }
+        // a floor below two reports exactly what two reports
+        let zero = DetectorConfig {
+            min_len: 0,
+            ..DetectorConfig::default()
+        };
+        assert_eq!(
+            SequenceDetector::new(zero).analyze(&graph),
+            SequenceDetector::new(DetectorConfig::default()).analyze(&graph)
+        );
     }
 }

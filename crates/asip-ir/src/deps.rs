@@ -31,7 +31,7 @@ impl Dependence {
     pub fn between(earlier: &Inst, later: &Inst) -> Vec<DepKind> {
         let mut kinds = Vec::new();
         if let Some(d) = earlier.dst() {
-            if later.uses().contains(&d) {
+            if later.uses().any(|u| u == d) {
                 kinds.push(DepKind::Flow);
             }
             if later.dst() == Some(d) {
@@ -39,7 +39,7 @@ impl Dependence {
             }
         }
         if let Some(d) = later.dst() {
-            if earlier.uses().contains(&d) {
+            if earlier.uses().any(|u| u == d) {
                 kinds.push(DepKind::Anti);
             }
         }

@@ -135,23 +135,27 @@ impl Inst {
         }
     }
 
-    /// All operands read by this instruction.
-    pub fn operands(&self) -> Vec<Operand> {
-        match &self.kind {
-            InstKind::Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
-            InstKind::Unary { src, .. } => vec![*src],
-            InstKind::Load { index, .. } => vec![*index],
-            InstKind::Store { index, value, .. } => vec![*index, *value],
-            InstKind::Branch { cond, .. } => vec![*cond],
-            InstKind::Jump { .. } => vec![],
-            InstKind::Ret { value } => value.iter().copied().collect(),
-            InstKind::Chained { inputs, .. } => inputs.clone(),
-        }
+    /// All operands read by this instruction, in operand order (`lhs`
+    /// before `rhs`, `index` before `value`, chained inputs in chain
+    /// order). Allocates nothing.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, inputs): ([Option<Operand>; 2], &[Operand]) = match &self.kind {
+            InstKind::Binary { lhs, rhs, .. } => ([Some(*lhs), Some(*rhs)], &[]),
+            InstKind::Unary { src, .. } => ([Some(*src), None], &[]),
+            InstKind::Load { index, .. } => ([Some(*index), None], &[]),
+            InstKind::Store { index, value, .. } => ([Some(*index), Some(*value)], &[]),
+            InstKind::Branch { cond, .. } => ([Some(*cond), None], &[]),
+            InstKind::Jump { .. } => ([None, None], &[]),
+            InstKind::Ret { value } => ([*value, None], &[]),
+            InstKind::Chained { inputs, .. } => ([None, None], inputs),
+        };
+        fixed.into_iter().flatten().chain(inputs.iter().copied())
     }
 
-    /// All registers read by this instruction.
-    pub fn uses(&self) -> Vec<Reg> {
-        self.operands().iter().filter_map(Operand::reg).collect()
+    /// All registers read by this instruction, in operand order (a
+    /// register read twice appears twice). Allocates nothing.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.operands().filter_map(|o| o.reg())
     }
 
     /// Rewrite every register operand via `f` (used by renaming/rewriting).
@@ -286,7 +290,7 @@ mod tests {
             rhs: Operand::imm_int(1),
         });
         assert_eq!(i.dst(), Some(Reg(2)));
-        assert_eq!(i.uses(), vec![Reg(0)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(0)]);
 
         let s = inst(InstKind::Store {
             array: ArrayId(0),
@@ -294,9 +298,85 @@ mod tests {
             value: Reg(3).into(),
         });
         assert_eq!(s.dst(), None);
-        assert_eq!(s.uses(), vec![Reg(1), Reg(3)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![Reg(1), Reg(3)]);
         assert!(s.has_side_effects());
         assert!(!s.is_terminator());
+    }
+
+    #[test]
+    fn operand_order_per_kind() {
+        // DepDag, DefUse and validate walk operands in this order
+        let r = |n| Operand::Reg(Reg(n));
+        let cases: Vec<(InstKind, Vec<Operand>)> = vec![
+            (
+                InstKind::Binary {
+                    op: BinOp::Add,
+                    dst: Reg(9),
+                    lhs: r(1),
+                    rhs: Operand::imm_int(2),
+                },
+                vec![r(1), Operand::imm_int(2)],
+            ),
+            (
+                InstKind::Binary {
+                    op: BinOp::Mul,
+                    dst: Reg(9),
+                    lhs: r(4),
+                    rhs: r(4),
+                },
+                vec![r(4), r(4)],
+            ),
+            (
+                InstKind::Unary {
+                    op: UnOp::Neg,
+                    dst: Reg(9),
+                    src: r(3),
+                },
+                vec![r(3)],
+            ),
+            (
+                InstKind::Load {
+                    dst: Reg(9),
+                    array: ArrayId(0),
+                    index: r(5),
+                },
+                vec![r(5)],
+            ),
+            (
+                InstKind::Store {
+                    array: ArrayId(0),
+                    index: Operand::imm_int(7),
+                    value: r(6),
+                },
+                vec![Operand::imm_int(7), r(6)],
+            ),
+            (
+                InstKind::Branch {
+                    cond: r(2),
+                    then_target: BlockId(1),
+                    else_target: BlockId(2),
+                },
+                vec![r(2)],
+            ),
+            (InstKind::Jump { target: BlockId(3) }, vec![]),
+            (InstKind::Ret { value: Some(r(8)) }, vec![r(8)]),
+            (InstKind::Ret { value: None }, vec![]),
+            (
+                InstKind::Chained {
+                    ext: 0,
+                    dst: Reg(9),
+                    inputs: vec![r(1), Operand::imm_float(0.5), r(2), Operand::imm_int(3)],
+                    ops: vec![BinOp::FMul, BinOp::FAdd, BinOp::Add],
+                },
+                vec![r(1), Operand::imm_float(0.5), r(2), Operand::imm_int(3)],
+            ),
+        ];
+        for (kind, want) in cases {
+            let i = inst(kind);
+            let regs: Vec<Reg> = want.iter().filter_map(Operand::reg).collect();
+            assert_eq!(i.operands().collect::<Vec<_>>(), want, "{:?}", i.kind);
+            assert_eq!(i.uses().collect::<Vec<_>>(), regs, "{:?}", i.kind);
+        }
     }
 
     #[test]
@@ -355,7 +435,7 @@ mod tests {
             rhs: Reg(2).into(),
         });
         i.map_uses(|r| Reg(r.0 + 100));
-        assert_eq!(i.uses(), vec![Reg(101), Reg(102)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(101), Reg(102)]);
         assert_eq!(i.dst(), Some(Reg(9)), "map_uses must not touch dst");
         i.set_dst(Reg(42));
         assert_eq!(i.dst(), Some(Reg(42)));

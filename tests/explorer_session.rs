@@ -351,3 +351,21 @@ fn evaluated_shares_the_cached_evaluation_arc() {
     assert!(Arc::ptr_eq(&e1.evaluation, &e2.evaluation));
     assert!(Arc::ptr_eq(&e1.design, &e2.design));
 }
+
+#[test]
+fn single_op_detector_lengths_analyze_to_empty_reports() {
+    for detector in [
+        DetectorConfig::default().with_length(1),
+        DetectorConfig {
+            min_len: 0,
+            max_len: 1,
+            ..DetectorConfig::default()
+        },
+    ] {
+        let session = Explorer::new().with_detector(detector);
+        let analyzed = session
+            .analyze("sewha", OptLevel::Pipelined)
+            .expect("analyzes");
+        assert!(analyzed.report.entries().is_empty());
+    }
+}
