@@ -22,12 +22,19 @@
 //! - **design-space sweep** — a 256-config pareto-frontier sweep
 //!   (8 area budgets × 4 clocks × 4 extension caps × 2 levels) over
 //!   the whole suite on the warm session, counter-asserted to perform
-//!   zero optimizer runs; plus the normalized `warm_over_cold_ratio`
-//!   (store-warm replay cost as a fraction of the cold run);
+//!   zero optimizer runs;
+//! - **calibrated store-warm replay** — the median of 21
+//!   store-warm replays divided by the median time of a fixed
+//!   calibration kernel timed between them (`store_warm_per_calib`),
+//!   so a slower or busier host moves both sides and the series
+//!   tracks the replay alone;
 //! - **simulator throughput** — dynamic ops interpreted per second by
 //!   the pre-decoded engine on the largest Table-1 benchmark (largest
 //!   by profiled dynamic op count, resolved at run time from the warm
 //!   session), decode amortized out by reusing one [`sim::Engine`];
+//!   and the same benchmark rewritten under its default design
+//!   (`sim_asip_ops_per_sec`), whose chained super-instructions take
+//!   the engine's chain path;
 //! - **alloc-free sweep** — profile-only pooled runs over pre-bound
 //!   inputs on the same benchmark (`ablation_alloc_free_ms`);
 //! - **decode cost** — the one-time `Program` → `DecodedProgram`
@@ -56,6 +63,36 @@ use asip_explorer::Explorer;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Table lookups per calibration run.
+const CAL_ROUNDS: usize = 200_000;
+
+/// The calibration kernel: data-dependent loads, mixing and a
+/// data-dependent branch over a 256 KiB table. It shares no code with
+/// the pipeline, so a change to the pipeline leaves its time alone
+/// while a slower host moves both.
+fn calibration_kernel() -> u64 {
+    let mut table: Vec<u64> = (0..32 * 1024u64)
+        .map(|i| i.wrapping_mul(0x94D0_49BB_1331_11EB))
+        .collect();
+    let mask = table.len() - 1;
+    let (mut x, mut acc) = (0x9E37_79B9_7F4A_7C15u64, 0u64);
+    for i in 0..CAL_ROUNDS {
+        let v = table[(x as usize) & mask];
+        x = (x ^ v).wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(17);
+        if x & 1 == 0 {
+            acc = acc.wrapping_add(v);
+        } else {
+            table[i & mask] = v ^ x;
+        }
+    }
+    acc
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 /// Wall-clock one call, in milliseconds.
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -139,10 +176,26 @@ fn main() {
     println!("bench explore_all/warm-store                         {disk_ms:>12.1} ms");
     rows.push(("store_warm_explore_all_ms".into(), disk_ms));
     rows.push(("store_warm_prefetch_hits".into(), prefetch_hits as f64));
-    // normalized persistence payoff: how much of a cold run a
-    // store-warm replay still costs (ROADMAP item 4 — lower is better,
-    // gated with an absolute noise floor; see `perf::RATIO_NOISE_FLOOR`)
-    rows.push(("warm_over_cold_ratio".into(), disk_ms / cold_ms));
+    // the same replay in calibration units: fresh store-warm sessions
+    // alternate with the calibration kernel, and the series is the
+    // ratio of the two medians (gated lower-is-better at
+    // `perf::CALIB_TOLERANCE_PCT`)
+    {
+        const REPLAYS: usize = 21;
+        let (mut replays, mut cals) = (Vec::new(), Vec::new());
+        for _ in 0..REPLAYS {
+            cals.push(time_ms(|| std::hint::black_box(calibration_kernel())).1);
+            let replay = Explorer::new().with_store(&dir);
+            replays.push(time_ms(|| replay.explore_all().expect("replays from disk")).1);
+            assert_eq!(replay.cache_stats().total_misses(), 0);
+        }
+        let (replay_ms, cal_ms) = (median(replays), median(cals));
+        println!(
+            "bench explore_all/warm-store-per-calib {:>12.3} ({replay_ms:.1} ms / calibration {cal_ms:.2} ms)",
+            replay_ms / cal_ms
+        );
+        rows.push(("store_warm_per_calib".into(), replay_ms / cal_ms));
+    }
 
     // -- remote-warm explore_all (loopback daemon over the same store) -
     {
@@ -213,6 +266,26 @@ fn main() {
     rows.push(("sim_dynamic_ops".into(), total_ops as f64));
     rows.push(("sim_decode_ms".into(), decode_ms));
     rows.push(("sim_ops_per_sec".into(), ops_per_sec));
+
+    // the same benchmark rewritten under its default design, timed the
+    // same way: its chained super-instructions count one op each
+    {
+        let designed = session.design(largest.name).expect("designed");
+        let prepared = asip_explorer::synth::prepare(&program, &designed.design);
+        let asip = prepared.engine();
+        let asip_ops = asip.run(&data).expect("runs").profile.total_ops();
+        let asip_ms = (0..5)
+            .map(|_| time_ms(|| asip.run(&data).expect("runs")).1)
+            .fold(f64::INFINITY, f64::min);
+        let asip_ops_per_sec = asip_ops as f64 / (asip_ms / 1e3);
+        println!(
+            "bench simulator/{} rewritten: {asip_ops} dynamic ops, {:.2} Mops/s",
+            largest.name,
+            asip_ops_per_sec / 1e6
+        );
+        rows.push(("sim_asip_dynamic_ops".into(), asip_ops as f64));
+        rows.push(("sim_asip_ops_per_sec".into(), asip_ops_per_sec));
+    }
 
     // -- alloc-free sweep over pre-bound inputs ------------------------
     // the sweep shape design loops sit on: profile-only pooled runs, no

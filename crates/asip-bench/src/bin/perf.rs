@@ -14,7 +14,8 @@
 //!   and exits **2** when any perf series regresses beyond the
 //!   tolerance — so CI can gate on it after `cargo bench --bench
 //!   explore`. Direction and noise rules are `asip_explorer::perf`'s:
-//!   `*_ms` lower-is-better (with a 2 ms noise floor), `*_ops_per_sec`
+//!   `*_ms` lower-is-better (with a 2 ms noise floor), `*_per_calib`
+//!   lower-is-better at no more than 15 %, `*_ops_per_sec`
 //!   higher-is-better, everything else informational.
 //! - `update` blesses the current summary as the new baseline
 //!   (overwrites `benches/baseline.json`); run it after an intentional

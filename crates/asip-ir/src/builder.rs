@@ -175,6 +175,25 @@ impl ProgramBuilder {
         self.push(InstKind::Binary { op, dst, lhs, rhs })
     }
 
+    /// Emit a chained super-instruction of extension `ext` into a fresh
+    /// register of the last op's result type: `acc = ops[0](inputs[0],
+    /// inputs[1])`, then `acc = ops[i](acc, inputs[i + 1])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty.
+    pub fn chained(&mut self, ext: u32, ops: &[BinOp], inputs: &[Operand]) -> Reg {
+        let last = ops.last().expect("a chain has at least one op");
+        let dst = self.new_reg(last.result_ty());
+        self.push(InstKind::Chained {
+            ext,
+            dst,
+            inputs: inputs.to_vec(),
+            ops: ops.to_vec(),
+        });
+        dst
+    }
+
     /// Emit `dst = op src` into a fresh destination register.
     pub fn unary(&mut self, op: UnOp, src: Operand) -> Reg {
         let src_ty = match src {

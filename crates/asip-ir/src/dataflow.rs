@@ -3,7 +3,7 @@
 use crate::cfg::Cfg;
 use crate::program::Program;
 use crate::types::{BlockId, InstId, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Where a specific instruction lives: block and index within the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,35 +15,76 @@ pub struct InstLoc {
 }
 
 /// Program-wide def/use index: which instructions define and use each
-/// register, and where each instruction sits.
+/// register, and where each instruction sits. Registers and instruction
+/// ids are dense indices, so every table is a flat vector indexed by
+/// them (sized by `reg_types.len()` and `next_inst_id`, grown on demand
+/// for an index past either).
 #[derive(Debug, Clone)]
 pub struct DefUse {
-    defs: HashMap<Reg, Vec<InstId>>,
-    uses: HashMap<Reg, Vec<InstId>>,
-    locs: HashMap<InstId, InstLoc>,
+    defs: Postings,
+    uses: Postings,
+    locs: Vec<Option<InstLoc>>,
+}
+
+/// Per-register instruction lists in one allocation: the ids of
+/// register `r` are `ids[starts[r]..starts[r + 1]]`, in program order.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    starts: Vec<u32>,
+    ids: Vec<InstId>,
+}
+
+impl Postings {
+    /// Bucket the `(reg, id)` pairs `pairs()` yields in program order
+    /// by register: one pass to count, one to fill.
+    fn build<I: Iterator<Item = (Reg, InstId)>>(regs: usize, pairs: impl Fn() -> I) -> Self {
+        let mut starts = vec![0u32; regs + 1];
+        for (r, _) in pairs() {
+            if r.index() + 1 >= starts.len() {
+                starts.resize(r.index() + 2, 0);
+            }
+            starts[r.index() + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![InstId(0); starts[starts.len() - 1] as usize];
+        for (r, id) in pairs() {
+            ids[next[r.index()] as usize] = id;
+            next[r.index()] += 1;
+        }
+        Postings { starts, ids }
+    }
+
+    fn of(&self, r: Reg) -> &[InstId] {
+        match self.starts.get(r.index()..r.index() + 2) {
+            Some(&[lo, hi]) => &self.ids[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl DefUse {
     /// Build the index for a program.
     pub fn new(program: &Program) -> Self {
-        let mut defs: HashMap<Reg, Vec<InstId>> = HashMap::new();
-        let mut uses: HashMap<Reg, Vec<InstId>> = HashMap::new();
-        let mut locs = HashMap::new();
+        let insts = || program.blocks.iter().flat_map(|b| b.insts.iter());
+        let defs = Postings::build(program.reg_types.len(), || {
+            insts().filter_map(|i| Some((i.dst()?, i.id)))
+        });
+        let uses = Postings::build(program.reg_types.len(), || {
+            insts().flat_map(|i| i.uses().map(move |u| (u, i.id)))
+        });
+        let mut locs = vec![None; program.next_inst_id as usize];
         for block in &program.blocks {
             for (index, inst) in block.insts.iter().enumerate() {
-                locs.insert(
-                    inst.id,
-                    InstLoc {
-                        block: block.id,
-                        index,
-                    },
-                );
-                if let Some(d) = inst.dst() {
-                    defs.entry(d).or_default().push(inst.id);
+                if inst.id.index() >= locs.len() {
+                    locs.resize(inst.id.index() + 1, None);
                 }
-                for u in inst.uses() {
-                    uses.entry(u).or_default().push(inst.id);
-                }
+                locs[inst.id.index()] = Some(InstLoc {
+                    block: block.id,
+                    index,
+                });
             }
         }
         DefUse { defs, uses, locs }
@@ -51,17 +92,17 @@ impl DefUse {
 
     /// Instructions defining a register.
     pub fn defs_of(&self, r: Reg) -> &[InstId] {
-        self.defs.get(&r).map(Vec::as_slice).unwrap_or(&[])
+        self.defs.of(r)
     }
 
     /// Instructions using a register.
     pub fn uses_of(&self, r: Reg) -> &[InstId] {
-        self.uses.get(&r).map(Vec::as_slice).unwrap_or(&[])
+        self.uses.of(r)
     }
 
     /// Location of an instruction.
     pub fn loc(&self, id: InstId) -> Option<InstLoc> {
-        self.locs.get(&id).copied()
+        self.locs.get(id.index()).copied().flatten()
     }
 
     /// True if `r` has exactly one static definition.

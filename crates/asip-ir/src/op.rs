@@ -97,6 +97,16 @@ impl BinOp {
         }
     }
 
+    /// Type of both operands: float for the float ops (compares
+    /// included), int otherwise.
+    pub fn operand_ty(self) -> Ty {
+        if self.is_float() {
+            Ty::Float
+        } else {
+            Ty::Int
+        }
+    }
+
     /// True for the six integer and six float comparison operators.
     pub fn is_compare(self) -> bool {
         self.class() == OpClass::Compare

@@ -224,7 +224,7 @@ impl Program {
         }
         match &inst.kind {
             InstKind::Binary { op, dst, lhs, rhs } => {
-                let want = if op.is_float() { Ty::Float } else { Ty::Int };
+                let want = op.operand_ty();
                 for (side, o) in [("lhs", lhs), ("rhs", rhs)] {
                     if self.operand_ty(o) != want {
                         return Err(IrError::TypeMismatch {
@@ -325,10 +325,65 @@ impl Program {
                 }
             }
             InstKind::Ret { .. } => {}
-            InstKind::Chained { .. } => {
-                // chained super-ops are synthesized post-validation; their
-                // operand types are guaranteed by the rewriter
+            InstKind::Chained {
+                dst, inputs, ops, ..
+            } => self.validate_chain(inst, *dst, inputs, ops)?,
+        }
+        Ok(())
+    }
+
+    /// A chain is typed like the binary ops it fuses: `ops[0]` reads
+    /// `inputs[0..2]`, each later op reads the accumulator and one more
+    /// input, so every input has its op's operand type, each op's
+    /// result has the next op's operand type, and `dst` has the last
+    /// op's result type.
+    fn validate_chain(
+        &self,
+        inst: &Inst,
+        dst: Reg,
+        inputs: &[Operand],
+        ops: &[crate::op::BinOp],
+    ) -> Result<()> {
+        let mismatch = |detail: String| IrError::TypeMismatch {
+            inst: inst.id.0,
+            detail,
+        };
+        let Some(&last) = ops.last() else {
+            return Err(mismatch("chain has no ops".into()));
+        };
+        if inputs.len() != ops.len() + 1 {
+            return Err(mismatch(format!(
+                "chain of {} ops needs {} inputs, has {}",
+                ops.len(),
+                ops.len() + 1,
+                inputs.len()
+            )));
+        }
+        // input k is an operand of op max(k - 1, 0)
+        for (k, o) in inputs.iter().enumerate() {
+            let op = ops[k.saturating_sub(1)];
+            if self.operand_ty(o) != op.operand_ty() {
+                return Err(mismatch(format!(
+                    "chain input {k} must be {} for {op}",
+                    op.operand_ty()
+                )));
             }
+        }
+        for w in ops.windows(2) {
+            if w[0].result_ty() != w[1].operand_ty() {
+                return Err(mismatch(format!(
+                    "chain feeds a {} result of {} into {}",
+                    w[0].result_ty(),
+                    w[0],
+                    w[1]
+                )));
+            }
+        }
+        if self.reg_ty(dst) != last.result_ty() {
+            return Err(mismatch(format!(
+                "chain result must be {}",
+                last.result_ty()
+            )));
         }
         Ok(())
     }
@@ -366,6 +421,80 @@ mod tests {
             *op = BinOp::FAdd;
         }
         assert!(matches!(p.validate(), Err(IrError::TypeMismatch { .. })));
+    }
+
+    /// `tiny` with one chain inserted before its `ret`, writing a fresh
+    /// register of type `dst`; `r0` is the int result of the add, `f`
+    /// a fresh float register.
+    fn with_chain(dst: Ty, inputs: Vec<Operand>, ops: Vec<BinOp>) -> Program {
+        let mut p = tiny();
+        let d = p.new_reg(dst);
+        let id = p.new_inst_id();
+        p.blocks[0].insts.insert(
+            2,
+            Inst::new(
+                id,
+                InstKind::Chained {
+                    ext: 0,
+                    dst: d,
+                    inputs,
+                    ops,
+                },
+            ),
+        );
+        p
+    }
+
+    #[test]
+    fn well_typed_chains_validate() {
+        let x = Operand::Reg(Reg(0));
+        let (i, f) = (Operand::imm_int(2), Operand::imm_float(0.5));
+        // int-only, a float chain, and float ops into a float compare
+        // into int ops
+        let ok = [
+            (Ty::Int, vec![x, i, i], vec![BinOp::Mul, BinOp::Add]),
+            (Ty::Float, vec![f, f, f], vec![BinOp::FMul, BinOp::FAdd]),
+            (
+                Ty::Int,
+                vec![f, f, f, i, x],
+                vec![BinOp::FMul, BinOp::FCmpLt, BinOp::And, BinOp::Or],
+            ),
+        ];
+        for (dst, inputs, ops) in ok {
+            let p = with_chain(dst, inputs.clone(), ops.clone());
+            assert_eq!(p.validate(), Ok(()), "{ops:?} over {inputs:?}");
+        }
+    }
+
+    #[test]
+    fn ill_typed_and_mis_shaped_chains_are_rejected() {
+        let x = Operand::Reg(Reg(0));
+        let (i, f) = (Operand::imm_int(2), Operand::imm_float(0.5));
+        let bad = [
+            // no ops at all
+            (Ty::Int, vec![x], vec![]),
+            // one input short, one input too many
+            (Ty::Int, vec![x, i], vec![BinOp::Mul, BinOp::Add]),
+            (Ty::Int, vec![x, i, i, i], vec![BinOp::Mul, BinOp::Add]),
+            // a head operand of the wrong type
+            (Ty::Int, vec![x, f, i], vec![BinOp::Mul, BinOp::Add]),
+            // a tail input of the wrong type
+            (Ty::Float, vec![f, f, i], vec![BinOp::FMul, BinOp::FAdd]),
+            // an int result fed into a float op
+            (Ty::Float, vec![x, i, f], vec![BinOp::Add, BinOp::FAdd]),
+            // a float result fed into an int op
+            (Ty::Int, vec![f, f, i], vec![BinOp::FMul, BinOp::Add]),
+            // the destination does not have the last op's result type
+            (Ty::Float, vec![x, i, i], vec![BinOp::Mul, BinOp::Add]),
+            (Ty::Float, vec![f, f], vec![BinOp::FCmpEq]),
+        ];
+        for (dst, inputs, ops) in bad {
+            let p = with_chain(dst, inputs.clone(), ops.clone());
+            assert!(
+                matches!(p.validate(), Err(IrError::TypeMismatch { .. })),
+                "{ops:?} over {inputs:?} into {dst} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!   `base = 0, elem_size = 1` layout that skip the address
 //!   arithmetic);
 //! - branch targets are resolved to decoded block indices;
-//! - chained super-instructions are flattened into a side table and
-//!   evaluated in the generic [`Value`] domain (they are rare and
-//!   their contract is defined over [`eval_binop`]).
+//! - chained super-instructions are lowered into a flat side table of
+//!   typed plans (head op, two operand slots, tail `(op, slot)` links)
+//!   and run in one dispatch on an `i64` or `f64` accumulator whose
+//!   domain each link's op fixes at decode time — the same arena
+//!   arithmetic as the primitive ops they replace.
 //!
 //! The hot loop exploits two structural invariants (established at
 //! decode time):
@@ -56,7 +58,8 @@
 //!
 //! Traced runs ([`Engine::run_traced`]) use a separate specialized loop
 //! so the untraced hot path carries no `Option<sink>` check; the trace
-//! loop rebuilds each event's `&Inst` from a decoded-index origin
+//! loop splits each fused pair back into its two source instructions
+//! and rebuilds each event's `&Inst` from a decoded-index origin
 //! table.
 //!
 //! ## Decode-time validation vs run-time checks
@@ -102,7 +105,7 @@
 
 use crate::data::DataSet;
 use crate::error::{Result, SimError};
-use crate::machine::{eval_binop, Execution};
+use crate::machine::Execution;
 use crate::profile::{cell_digest, Profile};
 use crate::trace::{TraceEvent, TraceSink};
 use asip_ir::{ArrayKind, BinOp, InstKind, Operand, Program, Ty, UnOp, Value};
@@ -232,6 +235,22 @@ enum DecodedInst {
     RetFloat { src: u32 },
     /// Chained super-instruction; `plan` indexes the chain side table.
     Chained { dst: u32, plan: u32 },
+    /// Fusion of a chain whose int result immediately indexes a
+    /// direct-layout int array load (chained address arithmetic: `dst =
+    /// chain; ld = array[dst]`). Two steps.
+    ChainedLoadInt {
+        dst: u32,
+        plan: u32,
+        ld: u32,
+        decl: u32,
+    },
+    /// Chained address arithmetic feeding a direct float-array load.
+    ChainedLoadFloat {
+        dst: u32,
+        plan: u32,
+        ld: u32,
+        decl: u32,
+    },
     /// Decode-time marker for a block without a terminator. Executing
     /// it reproduces the reference interpreter's panic; it costs no
     /// dynamic step and has no profile slot.
@@ -315,28 +334,66 @@ impl AddrPlan {
     }
 }
 
-/// A typed bank slot (for the generic chained-op path).
+/// The arithmetic domain of a binary op, fixed by the op itself:
+/// validation pins every operand and result type per op, so decoding
+/// resolves it once and the hot loop never inspects a value's type.
 #[derive(Debug, Clone, Copy)]
-enum TSlot {
-    /// Integer-bank slot.
-    I(u32),
-    /// Float-bank slot.
-    F(u32),
+enum Dom {
+    /// `i64 = op(i64, i64)` (integer arithmetic and compares).
+    Int,
+    /// `f64 = op(f64, f64)`.
+    Float,
+    /// `i64 = op(f64, f64)`: a float compare.
+    FloatCmp,
 }
 
-/// A flattened chained super-instruction: `acc = head(lhs, rhs)` (or
-/// `lhs` with no head op), then `acc = op(acc, slot)` per tail step —
-/// the evaluation contract shared with the rewriter. Chains are
-/// evaluated in the generic [`Value`] domain; they are rare (only
-/// rewritten programs contain them) and their contract is defined over
-/// [`eval_binop`].
-#[derive(Debug, Clone)]
+impl Dom {
+    fn of(op: BinOp) -> Dom {
+        match (op.operand_ty(), op.result_ty()) {
+            (Ty::Int, _) => Dom::Int,
+            (Ty::Float, Ty::Float) => Dom::Float,
+            (Ty::Float, Ty::Int) => Dom::FloatCmp,
+        }
+    }
+}
+
+/// One step of a chained super-instruction: `acc = op(acc, slot)`,
+/// with `slot` in the operand arena of `dom`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    dom: Dom,
+    op: BinOp,
+    slot: u32,
+}
+
+/// A chained super-instruction lowered to typed arena arithmetic:
+/// `acc = head.op(lhs, head.slot)`, then `acc = op(acc, slot)` for
+/// each link of `links[tail.0..tail.1]` — the evaluation contract
+/// shared with the rewriter and the reference interpreter. The
+/// accumulator is an `i64` or an `f64` as each link's [`Dom`] says
+/// (a float compare switches it to `i64`); validation guarantees that
+/// every link reads the type the previous one produced.
+#[derive(Debug, Clone, Copy)]
 struct ChainPlan {
-    head: Option<BinOp>,
-    lhs: TSlot,
-    rhs: TSlot,
-    tail: Vec<(BinOp, TSlot)>,
-    dst_float: bool,
+    lhs: u32,
+    head: Link,
+    tail: (u32, u32),
+    kind: ChainKind,
+}
+
+/// A whole chain's domains, fixed at decode time. Nothing turns an int
+/// into a float, so a chain with a float compare ends in an int: only
+/// a `Float` chain writes a float register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChainKind {
+    /// Every link is [`Dom::Int`].
+    Int,
+    /// Every link is [`Dom::Float`].
+    Float,
+    /// Float links, a float compare, then int links (either run of
+    /// links may be empty): the only chain that needs each link's
+    /// domain at run time.
+    Mixed,
 }
 
 /// Control-flow outcome of one executed instruction. Kept small and
@@ -438,6 +495,8 @@ pub struct DecodedProgram {
     /// Arena spans per declared array, parallel to `arrays`.
     direct: Vec<Direct>,
     chains: Vec<ChainPlan>,
+    /// Tail links of every chain, flattened (see [`ChainPlan::tail`]).
+    links: Vec<Link>,
     /// Init image of the int arena, laid out
     /// `[arrays][registers][constants]` (arrays and registers zeroed,
     /// constants materialized). A `RunState` is reset by copying
@@ -520,20 +579,12 @@ impl Lowering {
         }
     }
 
-    /// Resolve an operand of either type to a typed slot (chains).
-    fn tslot(&mut self, o: &Operand) -> TSlot {
-        match o {
-            Operand::Reg(r) => {
-                let i = r.index();
-                assert!(i < self.reg_slots.len(), "decode: dangling register {r}");
-                if self.reg_float[i] {
-                    TSlot::F(self.reg_slots[i])
-                } else {
-                    TSlot::I(self.reg_slots[i])
-                }
-            }
-            Operand::ImmInt(v) => TSlot::I(self.int_bank.const_slot_i(*v)),
-            Operand::ImmFloat(v) => TSlot::F(self.float_bank.const_slot_f(*v)),
+    /// Lower `acc = op(acc, o)`, resolving `o` in `op`'s operand type.
+    fn link(&mut self, op: BinOp, o: &Operand) -> Link {
+        Link {
+            dom: Dom::of(op),
+            op,
+            slot: self.slot(o, op.operand_ty()),
         }
     }
 
@@ -665,6 +716,7 @@ impl DecodedProgram {
         let mut profile_slots = Vec::with_capacity(program.inst_count());
         let mut profile_ranges = Vec::with_capacity(program.blocks.len());
         let mut chains: Vec<ChainPlan> = Vec::new();
+        let mut links: Vec<Link> = Vec::new();
         let mut max_id = 0usize;
 
         for (bi, block) in program.blocks.iter().enumerate() {
@@ -675,27 +727,17 @@ impl DecodedProgram {
             for (pos, inst) in block.insts.iter().enumerate() {
                 let decoded = match &inst.kind {
                     InstKind::Binary { op, dst, lhs, rhs } => {
-                        if !op.is_float() {
-                            DecodedInst::IntBin {
-                                op: *op,
-                                dst: lower.dst(*dst, Ty::Int),
-                                lhs: lower.slot(lhs, Ty::Int),
-                                rhs: lower.slot(rhs, Ty::Int),
-                            }
-                        } else if op.result_ty() == Ty::Int {
-                            DecodedInst::FloatCmp {
-                                op: *op,
-                                dst: lower.dst(*dst, Ty::Int),
-                                lhs: lower.slot(lhs, Ty::Float),
-                                rhs: lower.slot(rhs, Ty::Float),
-                            }
-                        } else {
-                            DecodedInst::FloatBin {
-                                op: *op,
-                                dst: lower.dst(*dst, Ty::Float),
-                                lhs: lower.slot(lhs, Ty::Float),
-                                rhs: lower.slot(rhs, Ty::Float),
-                            }
+                        let want = op.operand_ty();
+                        let (dst, lhs, rhs) = (
+                            lower.dst(*dst, op.result_ty()),
+                            lower.slot(lhs, want),
+                            lower.slot(rhs, want),
+                        );
+                        let op = *op;
+                        match Dom::of(op) {
+                            Dom::Int => DecodedInst::IntBin { op, dst, lhs, rhs },
+                            Dom::Float => DecodedInst::FloatBin { op, dst, lhs, rhs },
+                            Dom::FloatCmp => DecodedInst::FloatCmp { op, dst, lhs, rhs },
                         }
                     }
                     InstKind::Unary { op, dst, src } => match op {
@@ -829,28 +871,38 @@ impl DecodedProgram {
                     InstKind::Chained {
                         dst, inputs, ops, ..
                     } => {
-                        let mut in_slots: Vec<TSlot> =
-                            inputs.iter().map(|o| lower.tslot(o)).collect();
-                        // the contract zero-fills missing head inputs
-                        while in_slots.len() < 2 {
-                            in_slots.push(TSlot::I(lower.int_bank.const_slot_i(0)));
+                        assert!(
+                            !ops.is_empty() && inputs.len() == ops.len() + 1,
+                            "decode: chain {} needs ops.len() + 1 inputs",
+                            inst.id
+                        );
+                        let lhs = lower.slot(&inputs[0], ops[0].operand_ty());
+                        let head = lower.link(ops[0], &inputs[1]);
+                        let start = links.len() as u32;
+                        for (w, input) in ops.windows(2).zip(&inputs[2..]) {
+                            assert!(
+                                w[0].result_ty() == w[1].operand_ty(),
+                                "decode: chain {} feeds {} into {}",
+                                inst.id,
+                                w[0],
+                                w[1]
+                            );
+                            links.push(lower.link(w[1], input));
                         }
-                        let tail = ops
-                            .iter()
-                            .skip(1)
-                            .zip(in_slots.iter().skip(2))
-                            .map(|(op, slot)| (*op, *slot))
-                            .collect();
-                        let dst_float = program.reg_ty(*dst) == Ty::Float;
+                        let out = ops[ops.len() - 1].result_ty();
+                        let kind = match (ops[0].operand_ty(), out) {
+                            (Ty::Int, _) => ChainKind::Int,
+                            (Ty::Float, Ty::Float) => ChainKind::Float,
+                            (Ty::Float, Ty::Int) => ChainKind::Mixed,
+                        };
                         chains.push(ChainPlan {
-                            head: ops.first().copied(),
-                            lhs: in_slots[0],
-                            rhs: in_slots[1],
-                            tail,
-                            dst_float,
+                            lhs,
+                            head,
+                            tail: (start, links.len() as u32),
+                            kind,
                         });
                         DecodedInst::Chained {
-                            dst: lower.dst(*dst, program.reg_ty(*dst)),
+                            dst: lower.dst(*dst, out),
                             plan: (chains.len() - 1) as u32,
                         }
                     }
@@ -969,6 +1021,19 @@ impl DecodedProgram {
                                     decl,
                                 }
                             }
+                            // slot numbers are per arena: only an int
+                            // chain result can be this index
+                            Some(&DecodedInst::Chained { dst: d, plan })
+                                if d == index && chains[plan as usize].kind != ChainKind::Float =>
+                            {
+                                insts.pop();
+                                DecodedInst::ChainedLoadInt {
+                                    dst: d,
+                                    plan,
+                                    ld: dst,
+                                    decl,
+                                }
+                            }
                             _ => DecodedInst::LoadInt { dst, decl, index },
                         }
                     }
@@ -990,6 +1055,17 @@ impl DecodedProgram {
                                     decl,
                                 }
                             }
+                            Some(&DecodedInst::Chained { dst: d, plan })
+                                if d == index && chains[plan as usize].kind != ChainKind::Float =>
+                            {
+                                insts.pop();
+                                DecodedInst::ChainedLoadFloat {
+                                    dst: d,
+                                    plan,
+                                    ld: dst,
+                                    decl,
+                                }
+                            }
                             _ => DecodedInst::LoadFloat { dst, decl, index },
                         }
                     }
@@ -997,15 +1073,7 @@ impl DecodedProgram {
                 };
                 // a fused pair keeps the *producer's* origin so the
                 // trace loop can re-derive both source instructions
-                if matches!(
-                    decoded,
-                    DecodedInst::IntBinBranch { .. }
-                        | DecodedInst::FloatCmpBranch { .. }
-                        | DecodedInst::IntBinMov { .. }
-                        | DecodedInst::FloatBinMov { .. }
-                        | DecodedInst::IntBinLoadInt { .. }
-                        | DecodedInst::IntBinLoadFloat { .. }
-                ) {
+                if unfuse(&decoded).is_some() {
                     origins.pop();
                     origins.push((bi as u32, pos as u32 - 1));
                 } else {
@@ -1047,6 +1115,7 @@ impl DecodedProgram {
             addr_plans,
             direct,
             chains,
+            links,
             image_ints,
             image_floats,
             entry: program.entry.0,
@@ -1329,31 +1398,48 @@ impl DecodedProgram {
         }
     }
 
-    /// Evaluate a chained super-instruction in the generic [`Value`]
-    /// domain.
+    /// Run a chained super-instruction on a typed accumulator: one
+    /// dispatch, then the same arena arithmetic as the primitive ops.
     #[inline(always)]
-    fn run_chain(&self, dst: u32, plan: u32, m: &mut RunState) -> Step {
-        let chain = &self.chains[plan as usize];
-        let read = |s: TSlot| -> Value {
-            match s {
-                TSlot::I(i) => Value::Int(m.ints[i as usize]),
-                TSlot::F(i) => Value::Float(m.floats[i as usize]),
+    fn run_chain(&self, dst: u32, plan: u32, m: &mut RunState) {
+        let c = &self.chains[plan as usize];
+        let tail = &self.links[c.tail.0 as usize..c.tail.1 as usize];
+        let (a, b) = (c.lhs as usize, c.head.slot as usize);
+        // pure chains (most of them) skip the per-link domain dispatch
+        m.ints[dst as usize] = match c.kind {
+            ChainKind::Int => {
+                let mut i = eval_int_bin(c.head.op, m.ints[a], m.ints[b]);
+                for l in tail {
+                    i = eval_int_bin(l.op, i, m.ints[l.slot as usize]);
+                }
+                i
+            }
+            ChainKind::Float => {
+                let mut f = eval_float_bin(c.head.op, m.floats[a], m.floats[b]);
+                for l in tail {
+                    f = eval_float_bin(l.op, f, m.floats[l.slot as usize]);
+                }
+                m.floats[dst as usize] = f;
+                return;
+            }
+            ChainKind::Mixed => {
+                let (mut i, mut f) = (0i64, 0f64);
+                match c.head.dom {
+                    Dom::Int => i = eval_int_bin(c.head.op, m.ints[a], m.ints[b]),
+                    Dom::Float => f = eval_float_bin(c.head.op, m.floats[a], m.floats[b]),
+                    Dom::FloatCmp => i = eval_float_cmp(c.head.op, m.floats[a], m.floats[b]),
+                }
+                for l in tail {
+                    let s = l.slot as usize;
+                    match l.dom {
+                        Dom::Int => i = eval_int_bin(l.op, i, m.ints[s]),
+                        Dom::Float => f = eval_float_bin(l.op, f, m.floats[s]),
+                        Dom::FloatCmp => i = eval_float_cmp(l.op, f, m.floats[s]),
+                    }
+                }
+                i
             }
         };
-        let a = read(chain.lhs);
-        let mut acc = match chain.head {
-            Some(op) => eval_binop(op, a, read(chain.rhs)),
-            None => a,
-        };
-        for &(op, slot) in &chain.tail {
-            acc = eval_binop(op, acc, read(slot));
-        }
-        if chain.dst_float {
-            m.floats[dst as usize] = acc.as_float();
-        } else {
-            m.ints[dst as usize] = acc.as_int();
-        }
-        Step::Next
     }
 
     /// Execute one decoded instruction. Shared by the fast block loop,
@@ -1500,22 +1586,41 @@ impl DecodedProgram {
             DecodedInst::RetNone => Step::Halt(None),
             DecodedInst::RetInt { src } => Step::Halt(Some(Value::Int(m.ints[src as usize]))),
             DecodedInst::RetFloat { src } => Step::Halt(Some(Value::Float(m.floats[src as usize]))),
-            DecodedInst::Chained { dst, plan } => self.run_chain(dst, plan, m),
+            DecodedInst::Chained { dst, plan } => {
+                self.run_chain(dst, plan, m);
+                Step::Next
+            }
+            DecodedInst::ChainedLoadInt {
+                dst,
+                plan,
+                ld,
+                decl,
+            } => {
+                self.run_chain(dst, plan, m);
+                self.direct_load_int(ld, decl, dst, m)
+            }
+            DecodedInst::ChainedLoadFloat {
+                dst,
+                plan,
+                ld,
+                decl,
+            } => {
+                self.run_chain(dst, plan, m);
+                self.direct_load_float(ld, decl, dst, m)
+            }
             DecodedInst::Unterminated => {
                 unreachable!("block fell through without terminator")
             }
         }
     }
 
-    /// The value an instruction wrote to its destination register, if
-    /// any (trace events only; the fused non-branch variants write two
-    /// registers and are re-expanded inline by the trace loop instead).
+    /// The value an unfused instruction wrote to its destination
+    /// register, if any (trace events only; the trace loop splits fused
+    /// pairs with [`unfuse`] first).
     fn wrote(&self, inst: &DecodedInst, m: &RunState) -> Option<Value> {
         match *inst {
             DecodedInst::IntBin { dst, .. }
             | DecodedInst::FloatCmp { dst, .. }
-            | DecodedInst::IntBinBranch { dst, .. }
-            | DecodedInst::FloatCmpBranch { dst, .. }
             | DecodedInst::IntUn { dst, .. }
             | DecodedInst::FloatToInt { dst, .. }
             | DecodedInst::LoadInt { dst, .. }
@@ -1525,11 +1630,13 @@ impl DecodedProgram {
             | DecodedInst::IntToFloat { dst, .. }
             | DecodedInst::LoadFloat { dst, .. }
             | DecodedInst::LoadFloatAddr { dst, .. } => Some(Value::Float(m.floats[dst as usize])),
-            DecodedInst::Chained { dst, plan } => Some(if self.chains[plan as usize].dst_float {
-                Value::Float(m.floats[dst as usize])
-            } else {
-                Value::Int(m.ints[dst as usize])
-            }),
+            DecodedInst::Chained { dst, plan } => {
+                Some(if self.chains[plan as usize].kind == ChainKind::Float {
+                    Value::Float(m.floats[dst as usize])
+                } else {
+                    Value::Int(m.ints[dst as usize])
+                })
+            }
             _ => None,
         }
     }
@@ -1682,199 +1789,33 @@ impl DecodedProgram {
             m.block_counts[block] += 1;
             let plan = self.blocks[block];
             for pc in plan.start as usize..plan.end as usize {
-                let inst = &self.insts[pc];
                 let (ob, opos) = self.origins[pc];
-                // every fused variant re-expands into its two source
-                // events, with the reference's exact limit ordering:
-                // no event if the producer's step crosses the limit,
-                // the producer's event but not the consumer's if the
+                // a fused pair replays as its two source instructions,
+                // with the reference's exact limit ordering: no event
+                // if the producer's step crosses the limit, the
+                // producer's event but not the consumer's if the
                 // consumer's step crosses
-                let step = match *inst {
-                    DecodedInst::IntBinBranch { .. } | DecodedInst::FloatCmpBranch { .. } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let step = self.exec(inst, &mut m);
-                        let producer = &program.blocks[ob as usize].insts[opos as usize];
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: producer,
-                            wrote: self.wrote(inst, &m),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let branch = &program.blocks[ob as usize].insts[opos as usize + 1];
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: branch,
-                            wrote: None,
-                        });
-                        step
-                    }
-                    DecodedInst::IntBinMov {
-                        op,
-                        dst,
-                        dst2,
-                        lhs,
-                        rhs,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-                        m.ints[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        m.ints[dst2 as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        Step::Next
-                    }
-                    DecodedInst::FloatBinMov {
-                        op,
-                        dst,
-                        dst2,
-                        lhs,
-                        rhs,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_float_bin(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-                        m.floats[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Float(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        m.floats[dst2 as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Float(v)),
-                        });
-                        Step::Next
-                    }
-                    DecodedInst::IntBinLoadInt {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        ld,
-                        decl,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-                        m.ints[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let d = self.direct[decl as usize];
-                        if (v as u64) >= d.len as u64 {
-                            return Err(self.oob(decl, v));
-                        }
-                        let loaded = m.ints[d.off as usize + v as usize];
-                        m.ints[ld as usize] = loaded;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Int(loaded)),
-                        });
-                        Step::Next
-                    }
-                    DecodedInst::IntBinLoadFloat {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        ld,
-                        decl,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-                        m.ints[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let d = self.direct[decl as usize];
-                        if (v as u64) >= d.len as u64 {
-                            return Err(self.oob(decl, v));
-                        }
-                        let loaded = m.floats[d.off as usize + v as usize];
-                        m.floats[ld as usize] = loaded;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Float(loaded)),
-                        });
-                        Step::Next
-                    }
-                    _ => {
-                        steps += step_weight(inst);
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let step = self.exec(inst, &mut m);
-                        if let Step::Oob { decl, addr } = step {
-                            return Err(self.oob(decl, addr));
-                        }
-                        let source = &program.blocks[ob as usize].insts[opos as usize];
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: source,
-                            wrote: self.wrote(inst, &m),
-                        });
-                        step
-                    }
+                let (first, second) = match unfuse(&self.insts[pc]) {
+                    Some((producer, consumer)) => (producer, Some(consumer)),
+                    None => (self.insts[pc], None),
                 };
+                let mut step = Step::Next;
+                for (k, inst) in std::iter::once(first).chain(second).enumerate() {
+                    steps += step_weight(&inst);
+                    if steps > limit {
+                        return Err(SimError::StepLimit { limit });
+                    }
+                    step = self.exec(&inst, &mut m);
+                    if let Step::Oob { decl, addr } = step {
+                        return Err(self.oob(decl, addr));
+                    }
+                    sink.event(&TraceEvent {
+                        step: steps,
+                        block: asip_ir::BlockId(ob),
+                        inst: &program.blocks[ob as usize].insts[opos as usize + k],
+                        wrote: self.wrote(&inst, &m),
+                    });
+                }
                 match step {
                     Step::Next => {}
                     Step::Goto(b) => {
@@ -1901,19 +1842,140 @@ impl DecodedProgram {
 #[inline(always)]
 fn step_weight(inst: &DecodedInst) -> u64 {
     match inst {
-        DecodedInst::IntBinBranch { .. }
-        | DecodedInst::FloatCmpBranch { .. }
-        | DecodedInst::IntBinMov { .. }
-        | DecodedInst::FloatBinMov { .. }
-        | DecodedInst::IntBinLoadInt { .. }
-        | DecodedInst::IntBinLoadFloat { .. } => 2,
         DecodedInst::Unterminated => 0,
+        _ if unfuse(inst).is_some() => 2,
         _ => 1,
     }
 }
 
-/// Integer-domain binary semantics (identical to [`eval_binop`] on two
-/// [`Value::Int`]s).
+/// Split a decode-time fused pair back into its two source
+/// instructions, producer first (`None` for an unfused instruction):
+/// the consumer reads the producer's destination register. The trace
+/// loop replays the halves one at a time, so no fused variant needs a
+/// trace path of its own.
+fn unfuse(inst: &DecodedInst) -> Option<(DecodedInst, DecodedInst)> {
+    use DecodedInst as D;
+    Some(match *inst {
+        D::IntBinBranch {
+            op,
+            dst,
+            lhs,
+            rhs,
+            then_b,
+            else_b,
+        } => (
+            D::IntBin { op, dst, lhs, rhs },
+            D::Branch {
+                cond: dst,
+                then_b,
+                else_b,
+            },
+        ),
+        D::FloatCmpBranch {
+            op,
+            dst,
+            lhs,
+            rhs,
+            then_b,
+            else_b,
+        } => (
+            D::FloatCmp { op, dst, lhs, rhs },
+            D::Branch {
+                cond: dst,
+                then_b,
+                else_b,
+            },
+        ),
+        D::IntBinMov {
+            op,
+            dst,
+            dst2,
+            lhs,
+            rhs,
+        } => (
+            D::IntBin { op, dst, lhs, rhs },
+            D::IntUn {
+                op: UnOp::Mov,
+                dst: dst2,
+                src: dst,
+            },
+        ),
+        D::FloatBinMov {
+            op,
+            dst,
+            dst2,
+            lhs,
+            rhs,
+        } => (
+            D::FloatBin { op, dst, lhs, rhs },
+            D::FloatUn {
+                op: UnOp::Mov,
+                dst: dst2,
+                src: dst,
+            },
+        ),
+        D::IntBinLoadInt {
+            op,
+            dst,
+            lhs,
+            rhs,
+            ld,
+            decl,
+        } => (
+            D::IntBin { op, dst, lhs, rhs },
+            D::LoadInt {
+                dst: ld,
+                decl,
+                index: dst,
+            },
+        ),
+        D::IntBinLoadFloat {
+            op,
+            dst,
+            lhs,
+            rhs,
+            ld,
+            decl,
+        } => (
+            D::IntBin { op, dst, lhs, rhs },
+            D::LoadFloat {
+                dst: ld,
+                decl,
+                index: dst,
+            },
+        ),
+        D::ChainedLoadInt {
+            dst,
+            plan,
+            ld,
+            decl,
+        } => (
+            D::Chained { dst, plan },
+            D::LoadInt {
+                dst: ld,
+                decl,
+                index: dst,
+            },
+        ),
+        D::ChainedLoadFloat {
+            dst,
+            plan,
+            ld,
+            decl,
+        } => (
+            D::Chained { dst, plan },
+            D::LoadFloat {
+                dst: ld,
+                decl,
+                index: dst,
+            },
+        ),
+        _ => return None,
+    })
+}
+
+/// Integer-domain binary semantics (identical to
+/// [`crate::machine::eval_binop`] on two [`Value::Int`]s).
 #[inline(always)]
 fn eval_int_bin(op: BinOp, a: i64, b: i64) -> i64 {
     use BinOp::*;

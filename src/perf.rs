@@ -17,10 +17,10 @@
 //!   don't flap;
 //! - `*_ops_per_sec` — higher is better; a regression is a current
 //!   value below `baseline * (1 - tolerance)`;
-//! - `*_ratio` — lower is better, with its own absolute noise floor
-//!   ([`RATIO_NOISE_FLOOR`]): ratios of two timed series (e.g.
-//!   `warm_over_cold_ratio`) compound both sides' jitter, so small
-//!   absolute wobble never gates;
+//! - `*_per_calib` — lower is better: a time divided by the time of
+//!   the harness's fixed calibration kernel, so host speed cancels out
+//!   and the series is gated at the tighter of the run's tolerance and
+//!   [`CALIB_TOLERANCE_PCT`], with no absolute floor;
 //! - everything else (`schema`, counters like `*_hits`, `*_ops`) is
 //!   informational and never gates.
 //!
@@ -46,10 +46,11 @@ use std::path::Path;
 /// series sit near 0.1 ms, where relative tolerances are meaningless).
 pub const MS_NOISE_FLOOR: f64 = 2.0;
 
-/// Ratio series (`*_ratio`) ignore absolute deltas below this. Ratios
-/// of two timed series compound both sides' jitter, so small absolute
-/// wobble around the baseline must not gate.
-pub const RATIO_NOISE_FLOOR: f64 = 0.05;
+/// The tolerance, in percent, calibrated series (`*_per_calib`) are
+/// gated at when the run's tolerance is wider: dividing by the
+/// calibration kernel removes the host-speed swings that the wide
+/// tolerance on raw times exists to absorb.
+pub const CALIB_TOLERANCE_PCT: f64 = 15.0;
 
 /// The default regression tolerance, in percent.
 pub const DEFAULT_TOLERANCE_PCT: f64 = 25.0;
@@ -57,7 +58,7 @@ pub const DEFAULT_TOLERANCE_PCT: f64 = 25.0;
 /// How a series' values are judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Smaller values are better (`*_ms`).
+    /// Smaller values are better (`*_ms`, `*_per_calib`).
     LowerIsBetter,
     /// Larger values are better (`*_ops_per_sec`).
     HigherIsBetter,
@@ -67,7 +68,7 @@ pub enum Direction {
 
 /// The gating direction of a series, by key suffix.
 pub fn direction_of(key: &str) -> Direction {
-    if key.ends_with("_ms") || key.ends_with("_ratio") {
+    if key.ends_with("_ms") || key.ends_with("_per_calib") {
         Direction::LowerIsBetter
     } else if key.ends_with("_ops_per_sec") {
         Direction::HigherIsBetter
@@ -77,12 +78,13 @@ pub fn direction_of(key: &str) -> Direction {
 }
 
 /// The absolute noise floor a lower-is-better series must clear before
-/// a relative overshoot counts as a regression.
-fn noise_floor_of(key: &str) -> f64 {
-    if key.ends_with("_ratio") {
-        RATIO_NOISE_FLOOR
+/// a relative overshoot counts as a regression, and the relative
+/// tolerance (as a fraction) it is gated at.
+fn gate_of(key: &str, tolerance_pct: f64) -> (f64, f64) {
+    if key.ends_with("_per_calib") {
+        (0.0, tolerance_pct.min(CALIB_TOLERANCE_PCT) / 100.0)
     } else {
-        MS_NOISE_FLOOR
+        (MS_NOISE_FLOOR, tolerance_pct / 100.0)
     }
 }
 
@@ -211,7 +213,8 @@ pub fn compare(
             // a tracked series must not silently disappear
             (_, None) => (None, true),
             (Direction::LowerIsBetter, Some(c)) => {
-                let over = c > base * (1.0 + tol) && (c - base) > noise_floor_of(key);
+                let (floor, tol) = gate_of(key, tolerance_pct);
+                let over = c > base * (1.0 + tol) && (c - base) > floor;
                 (change_pct(base, cur), over)
             }
             (Direction::HigherIsBetter, Some(c)) => (change_pct(base, cur), c < base * (1.0 - tol)),
@@ -335,8 +338,13 @@ mod tests {
         );
         assert_eq!(direction_of("sim_dynamic_ops"), Direction::Informational);
         assert_eq!(
-            direction_of("warm_over_cold_ratio"),
+            direction_of("store_warm_per_calib"),
             Direction::LowerIsBetter
+        );
+        // ratio series are retired: a ratio key is informational now
+        assert_eq!(
+            direction_of("warm_over_cold_ratio"),
+            Direction::Informational
         );
     }
 
@@ -373,15 +381,23 @@ mod tests {
     }
 
     #[test]
-    fn ratio_noise_floor_absorbs_small_absolute_wobble() {
-        // 0.004 → 0.04 is +900% but only 0.036 absolute: not a gate
-        let base = summary(&[("warm_over_cold_ratio", 0.004)]);
-        let wobble = summary(&[("warm_over_cold_ratio", 0.04)]);
-        assert!(compare(&base, &wobble, 25.0).is_pass());
-        // a ratio that grows past the floor AND the tolerance gates
-        let base = summary(&[("warm_over_cold_ratio", 0.2)]);
-        let blowup = summary(&[("warm_over_cold_ratio", 0.5)]);
-        assert!(!compare(&base, &blowup, 25.0).is_pass());
+    fn calibrated_series_gate_at_the_calibrated_tolerance() {
+        // under a wide 60% run tolerance a calibrated series still
+        // gates at 15%: +20% fails, +10% passes, however small the
+        // absolute change
+        let base = summary(&[("store_warm_per_calib", 2.0)]);
+        let slower = summary(&[("store_warm_per_calib", 2.4)]);
+        let c = compare(&base, &slower, 60.0);
+        assert_eq!(c.regressions().count(), 1);
+        assert!(c.to_string().contains("REGRESSED"));
+        let wobble = summary(&[("store_warm_per_calib", 2.2)]);
+        assert!(compare(&base, &wobble, 60.0).is_pass());
+        // a tighter run tolerance wins over the calibrated one
+        assert!(!compare(&base, &wobble, 5.0).is_pass());
+        // raw times keep the wide tolerance
+        let base = summary(&[("store_warm_explore_all_ms", 20.0)]);
+        let slower = summary(&[("store_warm_explore_all_ms", 24.0)]);
+        assert!(compare(&base, &slower, 60.0).is_pass());
     }
 
     #[test]

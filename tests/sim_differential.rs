@@ -4,8 +4,8 @@
 //! profiles, memories, results and trace streams to the retained
 //! reference interpreter (`asip_sim::reference`).
 
-use asip_explorer::ir::Value;
-use asip_explorer::sim::{ClassMix, Engine, ReferenceSimulator, RingTrace, SimError};
+use asip_explorer::ir::{ArrayKind, BinOp, Operand, Program, ProgramBuilder, Ty, Value};
+use asip_explorer::sim::{ClassMix, DataSet, Engine, ReferenceSimulator, RingTrace, SimError};
 use asip_explorer::synth::{DesignConstraints, Rewriter};
 use asip_explorer::{opt::OptLevel, Explorer};
 use std::sync::Arc;
@@ -46,63 +46,94 @@ fn all_table1_benchmarks_agree_with_the_reference() {
 #[test]
 fn rewritten_programs_agree_at_every_opt_level() {
     // the design stage's rewritten programs carry Chained
-    // super-instructions — the engine's generic-domain path; check all
+    // super-instructions — the engine's typed chain plans; check all
     // twelve benchmarks under the designs each feedback level selects
     let session = Explorer::new();
     for &level in &OptLevel::all() {
-        let constraints = DesignConstraints {
-            opt_level: level,
-            ..DesignConstraints::default()
-        };
         for bench in session.registry().iter() {
-            let designed = session
-                .design_with(bench.name, constraints, session.detector())
-                .expect("designs");
-            let mut rewritten = session
-                .compile(bench.name)
-                .expect("cached")
-                .program
-                .as_ref()
-                .clone();
-            Rewriter::new(designed.design.as_ref().clone()).apply(&mut rewritten);
-            assert_differential(&rewritten, &bench.dataset());
+            assert_differential(&rewritten(&session, bench.name, level), &bench.dataset());
         }
     }
+}
+
+/// `program` rewritten under the design `level`'s feedback selects.
+fn rewritten(session: &Explorer, name: &str, level: OptLevel) -> Program {
+    let constraints = DesignConstraints {
+        opt_level: level,
+        ..DesignConstraints::default()
+    };
+    let designed = session
+        .design_with(name, constraints, session.detector())
+        .expect("designs");
+    let mut program = session
+        .compile(name)
+        .expect("cached")
+        .program
+        .as_ref()
+        .clone();
+    Rewriter::new(designed.design.as_ref().clone()).apply(&mut program);
+    program
+}
+
+/// Assert the engine's and the reference's traced runs emit the same
+/// event stream, whole (the ring holds every step), and the same
+/// class mix. Returns the number of chained-instruction events.
+fn assert_traces_agree(program: &Program, data: &DataSet, what: &str) -> usize {
+    const ALL: usize = 1 << 17;
+    let mut ref_trace = RingTrace::new(ALL);
+    let reference = ReferenceSimulator::new(program)
+        .run_traced(data, &mut ref_trace)
+        .expect("reference runs");
+    let engine = Engine::new(Arc::new(program.clone()));
+    let mut eng_trace = RingTrace::new(ALL);
+    let traced = engine
+        .run_traced(data, &mut eng_trace)
+        .expect("engine runs");
+
+    assert_eq!(traced.profile, reference.profile, "{what}: profiles");
+    assert_eq!(traced.memory, reference.memory, "{what}: memories");
+    assert_eq!(
+        eng_trace.len() as u64,
+        traced.profile.total_ops(),
+        "{what}: the ring must hold the whole stream"
+    );
+    assert_eq!(eng_trace.len(), ref_trace.len(), "{what}: event counts");
+    for (a, b) in eng_trace.events().zip(ref_trace.events()) {
+        assert_eq!(a, b, "{what}: trace events must match step by step");
+    }
+
+    // the class-mix sink (a second TraceSink impl) agrees too
+    let mut ref_mix = ClassMix::for_program(program);
+    ReferenceSimulator::new(program)
+        .run_traced(data, &mut ref_mix)
+        .expect("runs");
+    let mut eng_mix = ClassMix::for_program(program);
+    engine.run_traced(data, &mut eng_mix).expect("runs");
+    assert_eq!(eng_mix.counts(), ref_mix.counts(), "{what}: class mixes");
+
+    eng_trace
+        .events()
+        .filter(|e| e.inst.contains("chained"))
+        .count()
 }
 
 #[test]
 fn traced_event_streams_are_identical() {
     let session = Explorer::new();
-    // one float-heavy, one int-heavy, one with non-trivial control flow
+    // one float-heavy, one int-heavy, one with non-trivial control
+    // flow; plain and rewritten under each level's design
     for name in ["sewha", "edge", "flatten"] {
         let program = session.compile(name).expect("compiles").program;
-        let bench = session.benchmark(name).expect("registered");
-        let data = bench.dataset();
-
-        let mut ref_trace = RingTrace::new(4096);
-        let reference = ReferenceSimulator::new(&program)
-            .run_traced(&data, &mut ref_trace)
-            .expect("reference runs");
-        let engine = Engine::new(Arc::clone(&program));
-        let mut eng_trace = RingTrace::new(4096);
-        let traced = engine
-            .run_traced(&data, &mut eng_trace)
-            .expect("engine runs");
-
-        assert_eq!(traced.profile, reference.profile);
-        assert_eq!(eng_trace.len(), ref_trace.len(), "{name}: event counts");
-        for (a, b) in eng_trace.events().zip(ref_trace.events()) {
-            assert_eq!(a, b, "{name}: trace events must match step by step");
+        let data = session.benchmark(name).expect("registered").dataset();
+        assert_eq!(assert_traces_agree(&program, &data, name), 0);
+        for &level in &OptLevel::all() {
+            let chains = assert_traces_agree(
+                &rewritten(&session, name, level),
+                &data,
+                &format!("{name} rewritten at {level:?}"),
+            );
+            assert!(chains > 0, "{name} at {level:?}: no chain executed");
         }
-
-        // the class-mix sink (a second TraceSink impl) agrees too
-        let mut ref_mix = ClassMix::for_program(&program);
-        ReferenceSimulator::new(&program)
-            .run_traced(&data, &mut ref_mix)
-            .expect("runs");
-        let mut eng_mix = ClassMix::for_program(&program);
-        engine.run_traced(&data, &mut eng_mix).expect("runs");
-        assert_eq!(eng_mix.counts(), ref_mix.counts(), "{name}: class mixes");
     }
 }
 
@@ -149,6 +180,142 @@ fn step_limit_errors_agree_with_the_reference_on_real_programs() {
                 assert!(matches!(a, SimError::StepLimit { .. }));
             }
             (a, b) => panic!("diverged at limit {limit}: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+/// Assert the engine and the reference agree under a step limit:
+/// untraced and traced, the same profile and memory or the same error.
+fn assert_limit_parity(program: &Program, data: &DataSet, limit: u64, what: &str) {
+    let reference = ReferenceSimulator::new(program)
+        .with_step_limit(limit)
+        .run(data);
+    let engine = Engine::new(Arc::new(program.clone())).with_step_limit(limit);
+    let mut sink = RingTrace::new(1);
+    for (how, run) in [
+        ("untraced", engine.run(data)),
+        ("traced", engine.run_traced(data, &mut sink)),
+    ] {
+        match (&reference, run) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.profile, b.profile, "{what} {how}: limit {limit}");
+                assert_eq!(a.memory, b.memory, "{what} {how}: limit {limit}");
+            }
+            (Err(a), Err(b)) => assert_eq!(*a, b, "{what} {how}: limit {limit}"),
+            (a, b) => panic!("{what} {how}: diverged at limit {limit}: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+#[test]
+fn step_limits_inside_chain_bearing_blocks_agree_with_the_reference() {
+    // the limit lands on, just before and just after chained steps of a
+    // rewritten program, so the careful near-limit loop runs chains
+    let session = Explorer::new();
+    for name in ["fir", "sewha"] {
+        let program = rewritten(&session, name, OptLevel::PipelinedRenamed);
+        let data = session.benchmark(name).expect("registered").dataset();
+        let mut trace = RingTrace::new(1 << 17);
+        Engine::new(Arc::new(program.clone()))
+            .run_traced(&data, &mut trace)
+            .expect("runs");
+        let chain_steps: Vec<u64> = trace
+            .events()
+            .filter(|e| e.inst.contains("chained"))
+            .map(|e| e.step)
+            .collect();
+        let (first, last) = (chain_steps[0], chain_steps[chain_steps.len() - 1]);
+        for at in [first, first + 1, last, chain_steps[chain_steps.len() / 2]] {
+            for limit in [at - 1, at, at + 1] {
+                assert_limit_parity(&program, &data, limit, name);
+            }
+        }
+    }
+}
+
+/// Straight-line chains over both banks, one per domain transition:
+/// int-only, float-only, float ops into a float compare into int ops
+/// (a 4-op chain), immediates of both types, and int chains indexing a
+/// direct-layout and a byte-layout load.
+fn hand_built_chains() -> (Program, DataSet) {
+    use BinOp::*;
+    let mut b = ProgramBuilder::new("chains");
+    let x = b.input_array("x", Ty::Int, 4);
+    let f = b.input_array("f", Ty::Float, 4);
+    let w = b.array_with_layout("w", Ty::Int, 4, ArrayKind::Input, 64, 8);
+    let y = b.output_array("y", Ty::Int, 6);
+    let g = b.output_array("g", Ty::Float, 2);
+    let e = b.entry_block();
+    b.select_block(e);
+    let int = |v| Operand::imm_int(v);
+    let (x0, x1, x2) = (b.load(x, int(0)), b.load(x, int(1)), b.load(x, int(2)));
+    let (f0, f1, f2) = (b.load(f, int(0)), b.load(f, int(1)), b.load(f, int(2)));
+    let int_only = b.chained(0, &[Mul, Add], &[x0.into(), x1.into(), x2.into()]);
+    let float_only = b.chained(1, &[FMul, FAdd], &[f0.into(), f1.into(), f2.into()]);
+    let mixed = b.chained(
+        2,
+        &[FMul, FCmpLt, And, Or],
+        &[f0.into(), f1.into(), f2.into(), int(1), x0.into()],
+    );
+    let float_imms = b.chained(
+        3,
+        &[FSub, FDiv],
+        &[Operand::imm_float(1.5), f0.into(), Operand::imm_float(0.25)],
+    );
+    // an int-immediate chain indexing a direct load (decode fuses the
+    // pair), then a byte address for the `at 64 step 8` array
+    let idx = b.chained(4, &[Add, And], &[x0.into(), int(1), int(3)]);
+    let direct = b.load(x, idx.into());
+    let addr = b.chained(0, &[Mul, Add], &[idx.into(), int(8), int(64)]);
+    let laid_out = b.load(w, addr.into());
+    for (k, v) in [int_only, mixed, idx, direct, addr, laid_out]
+        .into_iter()
+        .enumerate()
+    {
+        b.store(y, int(k as i64), v.into());
+    }
+    b.store(g, int(0), float_only.into());
+    b.store(g, int(1), float_imms.into());
+    b.ret(Some(mixed.into()));
+    let program = b.finish().expect("every chain is well typed");
+    let mut data = DataSet::new();
+    data.bind_ints("x", vec![6, -7, 40, 3]);
+    data.bind_floats("f", vec![0.75, -2.5, 1.0, 9.0]);
+    data.bind_ints("w", vec![11, 22, 33, 44]);
+    (program, data)
+}
+
+#[test]
+fn hand_built_chains_agree_with_the_reference() {
+    let (program, data) = hand_built_chains();
+    assert_differential(&program, &data);
+    assert_eq!(assert_traces_agree(&program, &data, "chains"), 6);
+    let total = Engine::new(Arc::new(program.clone()))
+        .run(&data)
+        .expect("runs")
+        .profile
+        .total_ops();
+    // every limit, so each chain and each fused chain + load boundary
+    // is crossed once
+    for limit in 0..=total + 1 {
+        assert_limit_parity(&program, &data, limit, "chains");
+    }
+}
+
+#[test]
+fn rewritten_corpus_programs_validate_at_every_level() {
+    // the rewriter's chains are type-checked like the binary ops they
+    // fuse, on every corpus program (12 Table-1 + 24 generated)
+    let session = Explorer::new().with_registry(asip_explorer::benchmarks::full_registry());
+    for bench in asip_explorer::benchmarks::full_registry().iter() {
+        for &level in &OptLevel::all() {
+            let program = rewritten(&session, bench.name, level);
+            assert_eq!(
+                program.validate(),
+                Ok(()),
+                "{} rewritten at {level:?}",
+                bench.name
+            );
         }
     }
 }
